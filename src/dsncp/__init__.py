@@ -7,7 +7,7 @@ closed-form and empirical summary statistics, minimum-contrast fitting, and
 global envelope goodness-of-fit tests, plus a command line front end.
 """
 
-from .cluster import Extension, Family, ModelParams, intensity, sample_model
+from .cluster import Extension, Family, ModelParams, sample_model
 from .core import (
     Disc,
     ExistenceError,
@@ -19,9 +19,7 @@ from .core import (
     RngStream,
     UnsupportedWindowError,
     Window,
-    regularized_gamma_cdf,
     shift_intersection_area,
-    window_area,
 )
 from .dpp import (
     GaussianDpp,
@@ -74,18 +72,15 @@ __all__ = [
     "default_grid",
     "gaussian_dpp_spectrum",
     "ginibre_spectrum",
-    "intensity",
     "max_admissible_beta",
     "most_repulsive_intensity",
     "nth_order_intensity",
     "pcf_crossover_radius",
     "pcf_hat",
     "pcf_theoretical",
-    "regularized_gamma_cdf",
     "sample_dpp",
     "sample_model",
     "shift_intersection_area",
     "validate_dpp_params",
-    "window_area",
     "__version__",
 ]

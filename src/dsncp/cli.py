@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -23,43 +22,31 @@ from .cluster import (
     Extension,
     Family,
     ModelParams,
+    centre_spectrum,
     default_extension,
     sample_model,
 )
 from .core import (
     Disc,
+    InputFileError,
     ParameterError,
     PointPattern,
     Rect,
     RejectionBoundError,
     RngStream,
     Window,
+    read_json,
 )
-from .dpp import (
-    DppSpectrum,
-    GinibreParams,
-    gaussian_dpp_spectrum,
-    ginibre_spectrum,
-    most_repulsive_intensity,
-)
-from .envelope import (
-    STATISTICS,
-    STUDY_CSV_HEADER,
-    StudyConfig,
-    envelope_test,
-    run_study,
-)
+from .dpp import DppSpectrum, most_repulsive_intensity
+from .envelope import StudyConfig, envelope_test, resume_study
 from .fit import ContrastOptions, FitResult, min_contrast_fit
 from .summaries import (
+    STATISTICS,
     K_hat,
     K_theoretical,
     pcf_crossover_radius,
     pcf_theoretical,
 )
-
-
-class _InputError(Exception):
-    """A file or flag value could not be used; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -160,53 +147,31 @@ def _load_pattern(path: str, window: Window) -> PointPattern:
     try:
         return PointPattern.from_csv(path, window)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise InputFileError(f"cannot read {path}: {exc}") from None
     except ParameterError as exc:
-        raise _InputError(str(exc)) from None
-
-
-def _load_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise InputFileError(str(exc)) from None
 
 
 def _load_fit(path: str, family: str | None) -> FitResult:
-    d = _load_json(path)
+    d = read_json(path)
     if isinstance(d, dict) and "fits" in d:
         if family is None:
-            raise _InputError(
+            raise InputFileError(
                 f"{path} holds fits for {sorted(d['fits'])}; "
                 f"pick one with --family")
         if family not in d["fits"]:
-            raise _InputError(f"{path} has no {family!r} fit")
+            raise InputFileError(f"{path} has no {family!r} fit")
         d = d["fits"][family]
     try:
         return FitResult.from_dict(d)
     except (KeyError, TypeError, ParameterError) as exc:
-        raise _InputError(f"{path}: not a fit result: {exc}") from None
+        raise InputFileError(f"{path}: not a fit result: {exc}") from None
 
 
 def _curve_csv_text(r: np.ndarray, values: np.ndarray) -> str:
     lines = ["r,value"]
     lines += [f"{ri:.17g},{vi:.17g}" for ri, vi in zip(r, values)]
     return "\n".join(lines) + "\n"
-
-
-def _model_spectrum(m: ModelParams, w: Window, ext: Extension) -> DppSpectrum:
-    """The spectral decomposition the sampler would use on this window."""
-    w_ext = w.grow(ext.margin)
-    if m.family is Family.GAUSSIAN:
-        rect = w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
-        return gaussian_dpp_spectrum(m.dpp_family(), rect)
-    if m.family is Family.GINIBRE:
-        p = GinibreParams.from_family(m.dpp_family())
-        return ginibre_spectrum(p, w_ext.circumradius)
-    raise ParameterError(
-        "the Thomas centre process has no spectral decomposition")
 
 
 def _write_spectrum_csv(path: str, spec: DppSpectrum) -> None:
@@ -223,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     m = _build_model(args)
     ext = Extension(args.ext) if args.ext is not None else default_extension(m)
     if args.dump_spectrum:
-        _write_spectrum_csv(args.dump_spectrum, _model_spectrum(m, args.window, ext))
+        _write_spectrum_csv(args.dump_spectrum, centre_spectrum(m, args.window, ext))
     pattern = sample_model(m, args.window, ext=ext,
                            rng=RngStream(args.seed, args.stream))
     if args.output:
@@ -316,81 +281,19 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    raw = _load_json(args.config)
+    raw = read_json(args.config)
     try:
         cfg = StudyConfig.from_dict(raw)
     except (TypeError, ParameterError) as exc:
-        raise _InputError(f"{args.config}: {exc}") from None
+        raise InputFileError(f"{args.config}: {exc}") from None
     if args.jobs is not None:
         cfg = dataclasses.replace(cfg, jobs=args.jobs)
 
-    # canonical cell enumeration; CSV rows are keyed by their first five
-    # columns, which %.17g round-trips exactly, so a resumed run recognizes
-    # the cells an earlier run completed
-    cells = list(product(cfg.families, cfg.alpha_values, cfg.gamma_values,
-                         cfg.rho_values))
-    keys_of_cell: dict[int, list[tuple]] = {}
-    for idx, (fam, a, g, r) in enumerate(cells):
-        fitted = cfg.fitted_families or tuple(
-            f for f in Family if f is not fam)
-        keys_of_cell[idx] = [(fam.value, ff.value, a, g, r) for ff in fitted]
-
-    out = Path(args.output)
-    have: dict[tuple, str] = {}
-    if out.exists():
-        for num, ln in enumerate(out.read_text().splitlines()[1:], start=2):
-            if not ln.strip():
-                continue
-            parts = ln.split(",")
-            try:
-                if len(parts) != 7:
-                    raise ValueError
-                key = (parts[0], parts[1], float(parts[2]), float(parts[3]),
-                       float(parts[4]))
-            except ValueError:
-                raise _InputError(f"{out}: line {num}: malformed study row"
-                                  ) from None
-            have[key] = ln
-    done = {idx for idx, keys in keys_of_cell.items()
-            if all(k in have for k in keys)}
-    todo = set(keys_of_cell) - done
-
-    sidecar = (out.with_suffix(".errors.json") if out.suffix != ".json"
-               else Path(str(out) + ".errors.json"))
-    old_errors: list[dict] = []
-    if sidecar.exists():
-        kept = _load_json(sidecar)
-        if not isinstance(kept, list):
-            raise _InputError(f"{sidecar}: expected a JSON list of errors")
-        cell_of = {(fam.value, a, g, r): idx
-                   for idx, (fam, a, g, r) in enumerate(cells)}
-        # rerun cells regenerate their errors; drop the stale copies
-        old_errors = [
-            e for e in kept
-            if cell_of.get((e.get("true_family"), e.get("alpha"),
-                            e.get("gamma"), e.get("rhoY"))) not in todo]
-
-    new_errors: list[dict] = []
-    if todo:
-        res = run_study(cfg, cell_indices=todo)
-        new_errors = res.errors
-        for row in res.rows:
-            key = (row.true_family.value, row.fitted_family.value,
-                   row.alpha, row.gamma, row.rho_Y)
-            have[key] = row.csv_line()
-
-    lines = [STUDY_CSV_HEADER]
-    for idx in range(len(cells)):
-        lines += [have[k] for k in keys_of_cell[idx] if k in have]
-    out.write_text("\n".join(lines) + "\n")
-
-    errors = old_errors + new_errors
-    sidecar.write_text(json.dumps(errors, indent=2) + "\n")
-
+    res = resume_study(cfg, args.output)
     if not args.quiet:
-        print(f"{len(lines) - 1} rows -> {out} "
-              f"({len(done)} cells already complete, {len(todo)} run); "
-              f"{len(errors)} errors -> {sidecar}")
+        print(f"{res.rows} rows -> {Path(args.output)} "
+              f"({res.cells_kept} cells already complete, {res.cells_run} "
+              f"run); {res.errors} errors -> {res.errors_path}")
     return 0
 
 
@@ -507,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParameterError as exc:

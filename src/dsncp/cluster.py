@@ -10,19 +10,20 @@ contribute their points inside it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .core import Disc, ParameterError, PointPattern, Rect, RngStream, Window
 from .dpp import (
+    DppSpectrum,
     GaussianDpp,
     GinibreDpp,
     GinibreParams,
-    _cached_gaussian_spectrum,
-    _cached_ginibre_spectrum,
+    gaussian_dpp_spectrum,
+    ginibre_spectrum,
     most_repulsive_intensity,
     sample_dpp,
     validate_dpp_params,
@@ -105,48 +106,46 @@ def default_extension(m: ModelParams) -> Extension:
     return Extension(4.0 * m.alpha)
 
 
-def intensity(m: ModelParams) -> float:
-    """Intensity of the cluster process: gamma * rho_Y."""
-    return m.rho_X
+@lru_cache(maxsize=64)
+def centre_spectrum(m: ModelParams, w: Window, ext: Extension) -> DppSpectrum:
+    """The spectrum DPP centres are drawn from, built once per model.
+
+    Its domain covers the extended window: the extended rectangle (or an
+    extended disc's bounding rectangle) for the Gaussian kernel; for
+    Ginibre, whose spectrum lives on a disc, the origin-centred disc of the
+    extended window's circumradius.
+    """
+    w_ext = w.grow(ext.margin)
+    if m.family is Family.GAUSSIAN:
+        rect = w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
+        return gaussian_dpp_spectrum(m.dpp_family(), rect)
+    if m.family is Family.GINIBRE:
+        return ginibre_spectrum(GinibreParams.from_family(m.dpp_family()),
+                                w_ext.circumradius)
+    raise ParameterError(
+        "the Thomas centre process has no spectral decomposition")
 
 
 def sample_centres(m: ModelParams, w: Window, ext: Extension,
                    rng: RngStream) -> PointPattern:
     """Draw the (unobserved) centre process on the extended window.
 
-    Thomas centres are homogeneous Poisson. DPP centres are sampled
-    spectrally on a covering domain (the extended rectangle for the Gaussian
-    kernel; for Ginibre, the disc circumscribing the extended window, since
-    the spectral representation lives on a disc) and then restricted.
+    Thomas centres are homogeneous Poisson. DPP centres are sampled from
+    ``centre_spectrum`` on its covering domain and then restricted.
     """
     w_ext = w.grow(ext.margin)
     gen = rng.generator
     if m.family is Family.THOMAS:
         n = gen.poisson(m.rho_Y * w_ext.area)
         return PointPattern(w_ext.sample_uniform(int(n), gen), w_ext)
+    pat = sample_dpp(centre_spectrum(m, w, ext), rng)
     if m.family is Family.GAUSSIAN:
-        rect = w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
-        spec = _cached_gaussian_spectrum(
-            m.rho_Y, m.beta, (rect.xmin, rect.xmax, rect.ymin, rect.ymax))
-        return sample_dpp(spec, rng).restrict(w_ext)
-    p = GinibreParams.from_family(m.dpp_family())
+        return pat.restrict(w_ext)
     cx, cy = w_ext.center
-    spec = _cached_ginibre_spectrum(p.nu, p.lam, w_ext.circumradius)
-    pat = sample_dpp(spec, rng)
     # the kernel is motion-invariant, so sampling on a centred disc and
     # shifting is the same as sampling around the window centre
     return PointPattern(pat.points + np.array([cx, cy]),
                         Disc(cx, cy, w_ext.circumradius)).restrict(w_ext)
-
-
-def sample_cluster(centre, gamma: float, alpha: float,
-                   rng: RngStream) -> np.ndarray:
-    """One cluster: Poisson(gamma) points scattered N2(centre, alpha^2 I)."""
-    if not gamma > 0 or not alpha > 0:
-        raise ParameterError("gamma and alpha must be > 0")
-    gen = rng.generator
-    n = int(gen.poisson(gamma))
-    return np.asarray(centre, dtype=float) + gen.normal(0.0, alpha, (n, 2))
 
 
 def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,

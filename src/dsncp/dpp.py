@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -468,13 +467,3 @@ def kernel_matrix(family: DppFamily, points) -> np.ndarray:
         return rho * np.exp(expo)
     raise ParameterError(f"unknown DPP family: {family!r}")
 
-
-@lru_cache(maxsize=64)
-def _cached_ginibre_spectrum(nu: float, lam: float, r: float) -> DppSpectrum:
-    return ginibre_spectrum(GinibreParams(nu, lam), r)
-
-
-@lru_cache(maxsize=64)
-def _cached_gaussian_spectrum(rho: float, beta: float,
-                              rect_key: tuple[float, float, float, float]) -> DppSpectrum:
-    return gaussian_dpp_spectrum(GaussianDpp(rho, beta), Rect(*rect_key))

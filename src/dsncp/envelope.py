@@ -16,24 +16,33 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .cluster import Extension, Family, ModelParams, sample_model
-from .core import ParameterError, PointPattern, Rect, RngStream, Window
+from .core import (
+    InputFileError,
+    ParameterError,
+    PointPattern,
+    Rect,
+    RejectionBoundError,
+    RngStream,
+    read_json,
+)
 from .dpp import max_admissible_beta
 from .fit import FitResult, min_contrast_fit
 from .summaries import (
+    STATISTICS,
     F_hat,
     G_hat,
     K_hat,
     default_grid,
     default_pcf_bandwidth,
+    j_values,
     pcf_hat,
 )
-
-STATISTICS = ("F", "G", "J", "K", "pcf")
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,21 @@ class EnvelopeResult:
                 "n_sim": self.n_sim, "statistic": self.statistic}
 
     def meta_to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.meta(), indent=2) + "\n")
+        _write_json(path, self.meta())
+
+
+def _write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _check_level(n_sim: int, level: float) -> None:
+    """Refuse a level at which ``n_sim`` simulations leave no envelope."""
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"level must be in (0, 1), got {level}")
+    # 1e-9 nudges keep products like 0.8 * 5 from falling off an integer
+    if math.floor((1.0 - level) * (n_sim + 1) + 1e-9) < 1:
+        raise ParameterError(
+            f"{n_sim} simulations are too few for level {level}")
 
 
 def global_envelope(ensemble: CurveEnsemble, level: float = 0.95,
@@ -156,13 +179,8 @@ def global_envelope(ensemble: CurveEnsemble, level: float = 0.95,
     min/max of the retained simulated curves and the central curve their
     pointwise mean. p = (1 + #{sims at least as extreme as observed})/(s+1).
     """
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must be in (0, 1), got {level}")
+    _check_level(ensemble.n_sim, level)
     m = ensemble.n_sim + 1
-    # 1e-9 nudges keep products like 0.8 * 5 from falling off an integer
-    if math.floor((1.0 - level) * m + 1e-9) < 1:
-        raise ParameterError(
-            f"{ensemble.n_sim} simulations are too few for level {level}")
     curves = np.vstack([ensemble.observed, ensemble.sims])
     stat, grp = _erl_order_statistics(curves)
     p_value = (1 + int(np.count_nonzero(grp[1:] <= grp[0]))) / m
@@ -193,12 +211,7 @@ def _curve_values(p: PointPattern, statistic: str, grid: np.ndarray,
     if statistic == "G":
         return G_hat(p, grid).values
     if statistic == "J":
-        f = F_hat(p, grid).values
-        g = G_hat(p, grid).values
-        ok = np.isfinite(f) & np.isfinite(g) & (f < 1.0)
-        out = np.full(grid.size, np.nan)
-        out[ok] = (1.0 - g[ok]) / (1.0 - f[ok])
-        return out
+        return j_values(F_hat(p, grid).values, G_hat(p, grid).values)
     raise ParameterError(f"unknown statistic {statistic!r}; "
                          f"choose one of {STATISTICS}")
 
@@ -222,14 +235,12 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
     runs the global envelope. 2499 simulations is the recommended default;
     199 is a usable fast mode.
     """
-    if statistic not in STATISTICS:
-        raise ParameterError(f"unknown statistic {statistic!r}; "
-                             f"choose one of {STATISTICS}")
     if rng is None:
         raise ParameterError("an RngStream is required")
     if level == 0.95 and n_sim + 1 < 100:
         raise ParameterError(
             f"need at least 99 simulations at level 0.95, got {n_sim}")
+    _check_level(n_sim, level)
     model = fitted.model() if isinstance(fitted, FitResult) else fitted
     grid = default_grid(p.window)
     bandwidth = None
@@ -284,6 +295,17 @@ class StudyConfig:
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
 
+    def cells(self):
+        """Yield (index, true family, alpha, gamma, rho, fitted families)
+        for every cell in its fixed order; a cell fits every other family
+        unless ``fitted_families`` names them."""
+        for idx, (fam, alpha, gamma, rho) in enumerate(product(
+                self.families, self.alpha_values, self.gamma_values,
+                self.rho_values)):
+            fitted = self.fitted_families or tuple(
+                f for f in Family if f is not fam)
+            yield idx, fam, alpha, gamma, rho, fitted
+
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
         d = dict(d)
@@ -324,11 +346,10 @@ class StudyResult:
     errors: list[dict]
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [STUDY_CSV_HEADER] + [row.csv_line() for row in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_study_csv(path, [row.csv_line() for row in self.rows])
 
     def errors_to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.errors, indent=2) + "\n")
+        _write_json(path, self.errors)
 
 
 def _true_model(family: Family, gamma: float, alpha: float,
@@ -339,14 +360,21 @@ def _true_model(family: Family, gamma: float, alpha: float,
                                       beta=max_admissible_beta(rho))
 
 
+# what a replicate may fail with and still leave the study running; any
+# other exception is a bug and propagates
+_REPLICATE_FAILURES = (ParameterError, RejectionBoundError,
+                       np.linalg.LinAlgError)
+
+
 def run_study(config: StudyConfig,
               cell_indices: set[int] | None = None) -> StudyResult:
     """Cross-family misspecification study.
 
     For every true family and parameter combination, each replicate
     simulates one pattern, fits the configured other families by minimum
-    contrast, and envelope-tests each fit. Per-replicate failures are
-    recorded and skipped, never fatal. Emits rejection rates and mean
+    contrast, and envelope-tests each fit. A replicate that fails with a
+    parameter, rejection-bound or linear-algebra error is recorded and
+    skipped, never fatal. Emits rejection rates and mean
     fitted-to-true centre intensity ratios per cell.
 
     ``cell_indices`` restricts execution to those positions of the full
@@ -357,14 +385,9 @@ def run_study(config: StudyConfig,
     base = RngStream(seed=config.seed)
     rows: list[StudyRow] = []
     errors: list[dict] = []
-    cells = list(product(config.families,
-                         config.alpha_values, config.gamma_values,
-                         config.rho_values))
-    for cell_idx, (fam_true, alpha, gamma, rho) in enumerate(cells):
+    for cell_idx, fam_true, alpha, gamma, rho, fitted_families in config.cells():
         if cell_indices is not None and cell_idx not in cell_indices:
             continue
-        fitted_families = config.fitted_families or tuple(
-            f for f in Family if f is not fam_true)
         m_true = _true_model(fam_true, gamma, alpha, rho)
         tallies = {f: {"reject": 0, "ratio": 0.0, "ok": 0}
                    for f in fitted_families}
@@ -373,7 +396,7 @@ def run_study(config: StudyConfig,
             try:
                 pattern = sample_model(m_true, config.window,
                                        rng=rep_rng.substream(0))
-            except Exception as exc:
+            except _REPLICATE_FAILURES as exc:
                 errors.append({"true_family": fam_true.value, "alpha": alpha,
                                "gamma": gamma, "rhoY": rho, "replicate": rep,
                                "stage": "simulate", "error": str(exc)})
@@ -386,7 +409,7 @@ def run_study(config: StudyConfig,
                                         n_sim=config.n_sim,
                                         rng=rep_rng.substream(1 + k),
                                         level=config.level, jobs=config.jobs)
-                except Exception as exc:
+                except _REPLICATE_FAILURES as exc:
                     errors.append({"true_family": fam_true.value,
                                    "fitted_family": fam_fit.value,
                                    "alpha": alpha, "gamma": gamma,
@@ -407,3 +430,81 @@ def run_study(config: StudyConfig,
                 mean_rhoY_ratio=t["ratio"] / ok if ok else math.nan,
                 replicates_ok=ok))
     return StudyResult(rows=rows, errors=errors)
+
+
+class StudyResume(NamedTuple):
+    """Counts of the rows and errors ``resume_study`` wrote, and of the
+    cells it kept and ran."""
+
+    rows: int
+    errors: int
+    cells_kept: int
+    cells_run: int
+    errors_path: Path
+
+
+def _write_study_csv(path: str | Path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join([STUDY_CSV_HEADER, *lines]) + "\n")
+
+
+def _read_study_rows(path: Path) -> dict[tuple, str]:
+    """The rows of an existing study CSV, each line keyed by its first five
+    columns; %.17g round-trips them exactly."""
+    have: dict[tuple, str] = {}
+    for num, ln in enumerate(path.read_text().splitlines()[1:], start=2):
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        try:
+            if len(parts) != 7:
+                raise ValueError
+            key = (parts[0], parts[1], float(parts[2]), float(parts[3]),
+                   float(parts[4]))
+        except ValueError:
+            raise InputFileError(f"{path}: line {num}: malformed study row"
+                                 ) from None
+        have[key] = ln
+    return have
+
+
+def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
+    """Run the study cells the CSV at ``path`` lacks, then rewrite it.
+
+    Complete cells are kept as written; the rest run with their own random
+    streams, and their fresh errors replace their old ones in the
+    ``.errors.json`` sidecar. Rows are written in cell order, so a resumed
+    study reproduces the uninterrupted one byte for byte. An unreadable row
+    or sidecar raises InputFileError naming the file and line.
+    """
+    out = Path(path)
+    sidecar = (out.with_suffix(".errors.json") if out.suffix != ".json"
+               else Path(str(out) + ".errors.json"))
+    cells = list(config.cells())
+    keys_of_cell = {idx: [(fam.value, ff.value, a, g, r) for ff in fitted]
+                    for idx, fam, a, g, r, fitted in cells}
+    have = _read_study_rows(out) if out.exists() else {}
+    todo = {idx for idx, keys in keys_of_cell.items()
+            if not all(k in have for k in keys)}
+
+    errors = read_json(sidecar) if sidecar.exists() else []
+    if not isinstance(errors, list):
+        raise InputFileError(f"{sidecar}: expected a JSON list of errors")
+    # rerun cells regenerate their errors; drop the stale copies
+    rerun = {(fam.value, a, g, r) for idx, fam, a, g, r, _ in cells
+             if idx in todo}
+    errors = [e for e in errors if (e.get("true_family"), e.get("alpha"),
+                                    e.get("gamma"), e.get("rhoY")) not in rerun]
+    if todo:
+        res = run_study(config, cell_indices=todo)
+        errors += res.errors
+        have.update(((row.true_family.value, row.fitted_family.value,
+                      row.alpha, row.gamma, row.rho_Y), row.csv_line())
+                    for row in res.rows)
+
+    lines = [have[k] for keys in keys_of_cell.values() for k in keys
+             if k in have]
+    _write_study_csv(out, lines)
+    _write_json(sidecar, errors)
+    return StudyResume(rows=len(lines), errors=len(errors),
+                       cells_kept=len(cells) - len(todo), cells_run=len(todo),
+                       errors_path=sidecar)

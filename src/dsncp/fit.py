@@ -67,10 +67,8 @@ class ContrastOptions:
     @classmethod
     def for_window(cls, w, **overrides) -> "ContrastOptions":
         """Defaults tied to the window: fit over [0, shorter side / 4]."""
-        from .core import Rect
-        short = min(w.side_lengths) if isinstance(w, Rect) else 2.0 * w.radius
         overrides.setdefault("r_min", 0.0)
-        overrides.setdefault("r_max", short / 4.0)
+        overrides.setdefault("r_max", w.short_side / 4.0)
         return cls(**overrides)
 
     def grid(self) -> np.ndarray:
@@ -156,6 +154,22 @@ def _model_from(family: Family, alpha: float, second: float) -> ModelParams:
                                       beta=second)
 
 
+def _on_grid(k_hat: SummaryCurve, grid: np.ndarray) -> np.ndarray:
+    """The curve's values on ``grid``, interpolated when the grids differ."""
+    if k_hat.r.size == grid.size and np.array_equal(k_hat.r, grid):
+        return k_hat.values
+    if k_hat.r.size < 2 or k_hat.r[0] > grid[0] or k_hat.r[-1] < grid[-1]:
+        raise ParameterError("empirical curve does not cover the contrast range")
+    return np.interp(grid, k_hat.r, k_hat.values)
+
+
+def _contrast(emp_q: np.ndarray, m: ModelParams, opts: ContrastOptions,
+              grid: np.ndarray) -> float:
+    """Trapezoid integral of |emp_q - K_model^q|^p over ``grid``."""
+    theo = K_theoretical(m, grid)
+    return float(trapezoid(np.abs(emp_q - theo ** opts.q) ** opts.p, grid))
+
+
 def contrast_objective(k_hat: SummaryCurve, m: ModelParams,
                        options: ContrastOptions) -> float:
     """Contrast between an empirical K curve and a model's K.
@@ -166,16 +180,7 @@ def contrast_objective(k_hat: SummaryCurve, m: ModelParams,
     if not m.alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {m.alpha}")
     grid = options.grid()
-    if k_hat.r.size == grid.size and np.array_equal(k_hat.r, grid):
-        emp = k_hat.values
-    else:
-        if k_hat.r.size < 2 or k_hat.r[0] > grid[0] or k_hat.r[-1] < grid[-1]:
-            raise ParameterError(
-                "empirical curve does not cover the contrast range")
-        emp = np.interp(grid, k_hat.r, k_hat.values)
-    theo = K_theoretical(m, grid)
-    return float(trapezoid(np.abs(emp ** options.q - theo ** options.q)
-                           ** options.p, grid))
+    return _contrast(_on_grid(k_hat, grid) ** options.q, m, options, grid)
 
 
 def _log_starts(bounds: tuple[float, float]) -> np.ndarray:
@@ -199,13 +204,7 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     grid = opts.grid()
     if k_hat is None:
         k_hat = K_hat(p, grid)
-    if k_hat.r.size == grid.size and np.array_equal(k_hat.r, grid):
-        emp_q = k_hat.values ** opts.q
-    else:
-        if k_hat.r.size < 2 or k_hat.r[0] > grid[0] or k_hat.r[-1] < grid[-1]:
-            raise ParameterError(
-                "empirical curve does not cover the contrast range")
-        emp_q = np.interp(grid, k_hat.r, k_hat.values) ** opts.q
+    emp_q = _on_grid(k_hat, grid) ** opts.q
 
     a_bounds = opts.resolved_alpha_bounds()
     if family is Family.THOMAS:
@@ -220,9 +219,7 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
         if excess.any():
             return _PENALTY * (1.0 + float(excess.sum()))
         alpha, second = np.exp(theta)
-        m = _model_from(family, alpha, second)
-        theo = K_theoretical(m, grid)
-        return float(trapezoid(np.abs(emp_q - theo ** opts.q) ** opts.p, grid))
+        return _contrast(emp_q, _model_from(family, alpha, second), opts, grid)
 
     runs = []
     for a0 in _log_starts(a_bounds):

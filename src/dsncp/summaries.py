@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import gammainc
 
 from .cluster import Family, ModelParams
 from .core import (
@@ -24,10 +25,9 @@ from .core import (
     Rect,
     UnsupportedWindowError,
     Window,
-    regularized_gamma_cdf,
 )
 
-_STATISTICS = ("pcf", "K", "F", "G", "J")
+STATISTICS = ("F", "G", "J", "K", "pcf")
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,8 @@ class SummaryCurve:
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or v.shape != r.shape:
             raise ParameterError("r and values must be 1-D and equal length")
-        if r.size and (np.any(r < 0) or np.any(np.diff(r) <= 0)):
-            raise ParameterError("grid must be nonnegative, strictly increasing")
-        if self.statistic not in _STATISTICS:
+        _check_grid(r)
+        if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
         if self.kind not in ("theoretical", "empirical"):
             raise ParameterError(f"unknown kind {self.kind!r}")
@@ -63,19 +62,15 @@ class SummaryCurve:
 
 def default_grid(w: Window, size: int = 513) -> np.ndarray:
     """r grid from 0 to a quarter of the shorter window side."""
-    if isinstance(w, Rect):
-        short = min(w.side_lengths)
-    else:
-        short = 2.0 * w.radius
-    return np.linspace(0.0, short / 4.0, size)
+    return np.linspace(0.0, w.short_side / 4.0, size)
 
 
 def _gamma_cdf_vec(shape: float, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(shape, x), vectorized over x."""
     if shape == 1.0:
+        # d = 2: the closed form; gammainc(1, x) differs from it by ulps
         return -np.expm1(-x)
-    flat = np.asarray(x, dtype=float).ravel()
-    out = np.array([regularized_gamma_cdf(shape, float(t)) for t in flat])
-    return out.reshape(np.shape(x))
+    return gammainc(shape, x)
 
 
 def pcf_theoretical(m: ModelParams, r, d: int = 2):
@@ -245,11 +240,7 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
 
 def _test_lattice(w: Window) -> np.ndarray:
     """Regular lattice of test points covering the window (cell centres)."""
-    if isinstance(w, Rect):
-        short = min(w.side_lengths)
-    else:
-        short = 2.0 * w.radius
-    h = short / 128.0
+    h = w.short_side / 128.0
     rect = w if isinstance(w, Rect) else w.bounding_rect
     nx = max(1, int(math.floor((rect.xmax - rect.xmin) / h)))
     ny = max(1, int(math.floor((rect.ymax - rect.ymin) / h)))
@@ -308,15 +299,21 @@ def G_hat(p: PointPattern, grid) -> SummaryCurve:
     return SummaryCurve(grid, vals, "G", "empirical")
 
 
+def j_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """J = (1-G)/(1-F) where F and G are finite and F < 1, NaN elsewhere."""
+    ok = np.isfinite(f) & np.isfinite(g) & (f < 1.0)
+    out = np.full(f.shape, np.nan)
+    out[ok] = (1.0 - g[ok]) / (1.0 - f[ok])
+    return out
+
+
 def J_hat(p: PointPattern, grid) -> SummaryCurve:
     """J = (1-G)/(1-F), kept only where F_hat is defined and < 1."""
     grid = _check_grid(grid)
-    f = F_hat(p, grid)
-    g = G_hat(p, grid)
-    valid = np.isfinite(f.values) & np.isfinite(g.values) & (f.values < 1.0)
+    vals = j_values(F_hat(p, grid).values, G_hat(p, grid).values)
+    valid = np.isfinite(vals)
     warning = None
     if not valid.any():
         warning = "J undefined on the whole grid (F_hat saturates)"
-    return SummaryCurve(grid[valid], (1.0 - g.values[valid])
-                        / (1.0 - f.values[valid]), "J", "empirical",
+    return SummaryCurve(grid[valid], vals[valid], "J", "empirical",
                         warning=warning)

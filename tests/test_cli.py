@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import dsncp.cluster
 from dsncp.cli import (
     _build_model,
     _parse_grid,
@@ -183,6 +184,42 @@ class TestSimulate:
         assert np.all(vals > 0) and np.all(vals <= 1.0)
         # Ginibre eigenvalues decrease with the index
         assert np.all(np.diff(vals) <= 0)
+
+    @pytest.mark.parametrize("model,builder,window", [
+        ("gaussian-dpp-thomas", "gaussian_dpp_spectrum", "disc:0.5,0.5,0.5"),
+        ("ginibre-dpp-thomas", "ginibre_spectrum", "rect:0,1,0,1"),
+    ])
+    def test_dump_is_the_sampled_spectrum(self, tmp_path, monkeypatch, model,
+                                          builder, window):
+        # the dump holds exactly the eigenvalues the centre draw samples
+        # from, and one simulate call builds that spectrum once
+        builds, sampled = [], []
+        build = getattr(dsncp.cluster, builder)
+        draw = dsncp.cluster.sample_dpp
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        def recording_draw(spec, rng):
+            sampled.append(spec)
+            return draw(spec, rng)
+        monkeypatch.setattr(dsncp.cluster, builder, counting_build)
+        monkeypatch.setattr(dsncp.cluster, "sample_dpp", recording_draw)
+        dsncp.cluster.centre_spectrum.cache_clear()
+        flags = ["simulate", "--model", model, "--alpha", 0.05, "--rhoX", 25,
+                 "--beta", 0.08, "--window", window, "--seed", 3, "--quiet"]
+        spec = tmp_path / "spec.csv"
+        assert run_cli(flags + ["--dump-spectrum", spec,
+                                "-o", tmp_path / "a.csv"]) == 0
+        assert len(builds) == 1 and len(sampled) == 1
+        lines = spec.read_text().splitlines()
+        dumped = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
+        assert np.array_equal(dumped, sampled[0].eigenvalues)
+        # dumping leaves the draw as it is
+        assert run_cli(flags + ["-o", tmp_path / "b.csv"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
 
     def test_thomas_spectrum_dump_exits_3(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
@@ -399,6 +436,27 @@ class TestStudy:
         assert run_cli(["study", "--config", cfg, "-o", out]) == 0
         assert "0 run" in capsys.readouterr().out
         assert out.read_text() == full
+
+    def test_resume_replaces_errors_of_rerun_cells(self, tmp_path, capsys):
+        # n_sim = 19 is below the level-0.95 floor, so every replicate fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **self.CONFIG, "alpha_values": [0.05], "gamma_values": [6.0, 7.0],
+            "n_sim": 19}))
+        out = tmp_path / "study.csv"
+        sidecar = tmp_path / "study.errors.json"
+        assert run_cli(["study", "--config", cfg, "-o", out, "--quiet"]) == 0
+        full, full_errors = out.read_text(), sidecar.read_text()
+        errors = json.loads(full_errors)
+        assert sorted((e["gamma"], e["replicate"]) for e in errors) == [
+            (6.0, 0), (6.0, 1), (7.0, 0), (7.0, 1)]
+
+        out.write_text("\n".join(full.splitlines()[:2]) + "\n")
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 0
+        assert "1 cells already complete, 1 run); 4 errors" in \
+            capsys.readouterr().out
+        assert out.read_text() == full
+        assert sidecar.read_text() == full_errors
 
     def test_malformed_existing_row_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import dsncp.cluster
 from dsncp.cluster import (
     Extension,
     Family,
     ModelParams,
     default_extension,
-    intensity,
     sample_centres,
-    sample_cluster,
     sample_model,
 )
-from dsncp.core import Disc, ParameterError, Rect, RngStream
+from dsncp.core import Disc, ParameterError, PointPattern, Rect, RngStream
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -24,13 +23,13 @@ def thomas(gamma=50.0, alpha=0.03, rho_Y=30.0):
 
 class TestModelParams:
     def test_intensity_values(self):
-        assert intensity(thomas(50, 0.03, 30)) == pytest.approx(1500.0)
+        assert thomas(50, 0.03, 30).rho_X == pytest.approx(1500.0)
         m = ModelParams.most_repulsive(Family.GINIBRE, gamma=4 * math.pi,
                                        alpha=1.0, beta=2.0)
         assert m.rho_Y == pytest.approx(1 / (4 * math.pi))
-        assert intensity(m) == pytest.approx(1.0)
-        assert intensity(thomas(12.68, 0.05, 35.32)) == pytest.approx(447.86,
-                                                                      abs=0.01)
+        assert m.rho_X == pytest.approx(1.0)
+        assert thomas(12.68, 0.05, 35.32).rho_X == pytest.approx(447.86,
+                                                                 abs=0.01)
 
     def test_most_repulsive_thomas_drops_beta(self):
         m = ModelParams.most_repulsive("thomas", gamma=2.0, alpha=0.1, beta=0.09)
@@ -65,12 +64,23 @@ class TestModelParams:
 
 
 class TestSampleCluster:
-    def test_moments(self):
+    """One cluster's offspring, drawn by sample_model around a single
+    fixed centre on a window wide enough that nothing is clipped."""
+
+    WIDE = Rect(-10.0, 10.0, -10.0, 10.0)
+
+    @pytest.fixture
+    def one_centre(self, monkeypatch):
+        def centres(m, w, ext, rng):
+            return PointPattern(np.array([[2.0, -1.0]]), w.grow(ext.margin))
+        monkeypatch.setattr(dsncp.cluster, "sample_centres", centres)
+
+    def test_moments(self, one_centre):
         root = RngStream(11, 0)
+        m = thomas(gamma=5.0, alpha=0.2)
         sizes, norms = [], []
         for i in range(4000):
-            pts = sample_cluster((2.0, -1.0), gamma=5.0, alpha=0.2,
-                                 rng=root.substream(i))
+            pts = sample_model(m, self.WIDE, rng=root.substream(i)).points
             sizes.append(len(pts))
             if len(pts):
                 norms.extend(np.hypot(pts[:, 0] - 2.0, pts[:, 1] + 1.0))
@@ -80,15 +90,12 @@ class TestSampleCluster:
         se = 0.2 * math.sqrt((4 - math.pi) / 2) / math.sqrt(len(norms))
         assert np.mean(norms) == pytest.approx(rayleigh_mean, abs=3 * se)
 
-    def test_tiny_gamma_mostly_empty(self):
+    def test_tiny_gamma_mostly_empty(self, one_centre):
         root = RngStream(13, 0)
-        sizes = [len(sample_cluster((0, 0), 1e-3, 1.0, root.substream(i)))
+        m = thomas(gamma=1e-3, alpha=1.0)
+        sizes = [sample_model(m, self.WIDE, rng=root.substream(i)).n
                  for i in range(2000)]
         assert np.mean(np.array(sizes) == 0) > 0.99
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            sample_cluster((0, 0), 0.0, 1.0, RngStream(1, 0))
 
 
 class TestSampleCentres:

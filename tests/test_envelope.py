@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import dsncp.envelope
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import ParameterError, PointPattern, Rect, RngStream
 from dsncp.envelope import (
@@ -187,6 +188,19 @@ class TestEnvelopeTest:
         with pytest.raises(ParameterError):
             envelope_test(p, m, statistic="J", n_sim=99, rng=None)
 
+    def test_unreachable_level_refused_before_simulating(self, monkeypatch):
+        # floor(0.01 * 51) = 0: no simulated curve could be retained
+        def no_draws(*args, **kwargs):
+            raise AssertionError("envelope_test simulated before refusing")
+        monkeypatch.setattr(dsncp.envelope, "sample_model", no_draws)
+        m, p = thomas_pattern()
+        with pytest.raises(ParameterError, match="too few for level 0.99"):
+            envelope_test(p, m, statistic="J", n_sim=50, rng=RngStream(1),
+                          level=0.99)
+        with pytest.raises(ParameterError, match="level must be in"):
+            envelope_test(p, m, statistic="J", n_sim=99, rng=RngStream(1),
+                          level=1.5)
+
     def test_self_test_accepts_true_model(self):
         m, p = thomas_pattern(seed=71)
         res = envelope_test(p, m, statistic="J", n_sim=99,
@@ -298,3 +312,14 @@ class TestStudy:
         assert len(result.rows) == 1
         assert result.rows[0].replicates_ok == 0
         assert math.isnan(result.rows[0].reject_rate)
+
+    def test_library_bug_is_not_a_replicate_failure(self, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise TypeError("a bug, not a failed replicate")
+        monkeypatch.setattr(dsncp.envelope, "min_contrast_fit", broken_fit)
+        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
+                          rho_values=(30.0,), families=("thomas",),
+                          fitted_families=("thomas",),
+                          replicates=1, n_sim=99, seed=13)
+        with pytest.raises(TypeError, match="a bug"):
+            run_study(cfg)
