@@ -17,9 +17,7 @@ from .core import (
     Rect,
     RejectionBoundError,
     RngStream,
-    UnsupportedWindowError,
     Window,
-    shift_intersection_area,
 )
 from .dpp import (
     GaussianDpp,
@@ -67,7 +65,6 @@ __all__ = [
     "RejectionBoundError",
     "RngStream",
     "SummaryCurve",
-    "UnsupportedWindowError",
     "Window",
     "default_grid",
     "gaussian_dpp_spectrum",
@@ -80,7 +77,6 @@ __all__ = [
     "pcf_theoretical",
     "sample_dpp",
     "sample_model",
-    "shift_intersection_area",
     "validate_dpp_params",
     "__version__",
 ]

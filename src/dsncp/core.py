@@ -36,10 +36,6 @@ class InsufficientPointsError(ParameterError):
     """An estimator was given fewer points than it needs."""
 
 
-class UnsupportedWindowError(ParameterError):
-    """The operation is only defined for a different window type."""
-
-
 class RejectionBoundError(RuntimeError):
     """A rejection-sampling dominating bound was exceeded.
 
@@ -110,6 +106,13 @@ class Rect:
             np.minimum(pts[:, 1] - self.ymin, self.ymax - pts[:, 1]),
         )
 
+    def set_covariance(self, h: np.ndarray) -> np.ndarray:
+        """Area of the window intersected with its translate by each lag
+        (row) of ``h``."""
+        h = np.abs(np.asarray(h, dtype=float).reshape(-1, 2))
+        lx, ly = self.side_lengths
+        return np.maximum(0.0, lx - h[:, 0]) * np.maximum(0.0, ly - h[:, 1])
+
     def sample_uniform(self, n: int, gen: np.random.Generator) -> np.ndarray:
         u = gen.random((n, 2))
         lx, ly = self.side_lengths
@@ -163,6 +166,16 @@ class Disc:
         d = np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy)
         return self.radius - d
 
+    def set_covariance(self, h: np.ndarray) -> np.ndarray:
+        """Area of the disc intersected with its translate by each lag (row)
+        of ``h``: 2R^2 acos(|h|/2R) - (|h|/2) sqrt(4R^2 - |h|^2), 0 beyond 2R
+        (Baddeley, Rubak & Turner 2015, ch. 7)."""
+        h = np.asarray(h, dtype=float).reshape(-1, 2)
+        r = self.radius
+        d = np.minimum(np.hypot(h[:, 0], h[:, 1]), 2.0 * r)
+        return (2.0 * r * r * np.arccos(d / (2.0 * r))
+                - 0.5 * d * np.sqrt(4.0 * r * r - d * d))
+
     def sample_uniform(self, n: int, gen: np.random.Generator) -> np.ndarray:
         r = self.radius * np.sqrt(gen.random(n))
         theta = gen.random(n) * (2.0 * math.pi)
@@ -176,21 +189,6 @@ class Disc:
 
 
 Window = Union[Rect, Disc]
-
-
-def shift_intersection_area(w: Rect, h: np.ndarray) -> float:
-    """Area of ``w`` intersected with ``w`` translated by the vector ``h``.
-
-    Only rectangles are supported; the translation correction for other
-    window shapes is out of scope.
-    """
-    if not isinstance(w, Rect):
-        raise UnsupportedWindowError(
-            f"shift_intersection_area needs a Rect, got {type(w).__name__}"
-        )
-    hx, hy = float(h[0]), float(h[1])
-    lx, ly = w.side_lengths
-    return max(0.0, lx - abs(hx)) * max(0.0, ly - abs(hy))
 
 
 def read_json(path: str | Path):

@@ -247,13 +247,6 @@ class DppSpectrum:
     def expected_count(self) -> float:
         return float(self.eigenvalues.sum())
 
-    def eigenfunction(self, i: int, point) -> complex:
-        """Value of the i-th (0-based) eigenfunction at a single point."""
-        if not 0 <= i < self.eigenvalues.size:
-            raise ParameterError(f"eigenfunction index {i} out of range")
-        pt = np.asarray(point, dtype=float).reshape(1, 2)
-        return complex(self.basis.matrix(pt, np.array([i]))[0, 0])
-
 
 def _poisson_survival(t: float) -> np.ndarray:
     """P(Poisson(t) >= i) for i = 1, 2, ..., far into the tail.

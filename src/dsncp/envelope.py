@@ -450,8 +450,12 @@ def _write_study_csv(path: str | Path, lines: list[str]) -> None:
 def _read_study_rows(path: Path) -> dict[tuple, str]:
     """The rows of an existing study CSV, each line keyed by its first five
     columns; %.17g round-trips them exactly."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from None
     have: dict[tuple, str] = {}
-    for num, ln in enumerate(path.read_text().splitlines()[1:], start=2):
+    for num, ln in enumerate(text.splitlines()[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")

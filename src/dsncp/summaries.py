@@ -23,7 +23,6 @@ from .core import (
     ParameterError,
     PointPattern,
     Rect,
-    UnsupportedWindowError,
     Window,
 )
 
@@ -154,41 +153,38 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def _pair_blocks(pts: np.ndarray, w: Rect, rmax: float):
-    """Yield (distance, translation-weight) arrays over ordered point pairs
-    with distance <= rmax, in manageable blocks."""
-    n = pts.shape[0]
-    lx, ly = w.side_lengths
-    block = max(1, int(2_000_000 // max(n, 1)))
-    for s in range(0, n, block):
-        sub = pts[s:s + block]
-        dx = np.abs(sub[:, 0][:, None] - pts[:, 0][None, :])
-        dy = np.abs(sub[:, 1][:, None] - pts[:, 1][None, :])
-        d = np.hypot(dx, dy)
-        rows = np.arange(s, min(s + block, n))
-        d[rows - s, rows] = np.inf  # drop self-pairs
-        mask = (d <= rmax) & (dx < lx) & (dy < ly)
-        area = (lx - dx[mask]) * (ly - dy[mask])
-        yield d[mask], 1.0 / area
+def _translation_pairs(p: PointPattern, rmax: float):
+    """Distances and translation weights of the point pairs within rmax.
+
+    Each unordered pair stands for its two ordered pairs, which share the
+    lag length, so it weighs 2 / gamma_W(h), gamma_W the window's set
+    covariance. Pairs with gamma_W(h) = 0 (opposite edges) are dropped.
+    """
+    # the tree rounds distances its own way: search a hair wider, then
+    # keep hypot(h) <= rmax exactly
+    ij = cKDTree(p.points).query_pairs(rmax * (1.0 + 1e-9),
+                                       output_type="ndarray")
+    h = p.points[ij[:, 0]] - p.points[ij[:, 1]]
+    d = np.hypot(h[:, 0], h[:, 1])
+    cov = p.window.set_covariance(h)
+    keep = (d <= rmax) & (cov > 0.0)
+    return d[keep], 2.0 / cov[keep]
 
 
 def K_hat(p: PointPattern, grid) -> SummaryCurve:
-    """Translation-corrected empirical K function on a rectangle.
+    """Translation-corrected empirical K function.
 
     K_hat(r) = |W|^2/(n(n-1)) * sum over ordered pairs of
     1[dist <= r] / area(W intersect W shifted by the pair difference).
     """
-    if not isinstance(p.window, Rect):
-        raise UnsupportedWindowError("K_hat needs a rectangular window")
     if p.n < 2:
         raise InsufficientPointsError(f"K_hat needs n >= 2, got n={p.n}")
     grid = _check_grid(grid)
     if grid.size == 0:
         return SummaryCurve(grid, np.zeros(0), "K", "empirical")
-    hist = np.zeros(grid.size)
-    for d, wgt in _pair_blocks(p.points, p.window, float(grid[-1])):
-        idx = np.searchsorted(grid, d, side="left")
-        hist += np.bincount(idx, weights=wgt, minlength=grid.size)
+    d, wgt = _translation_pairs(p, float(grid[-1]))
+    idx = np.searchsorted(grid, d, side="left")
+    hist = np.bincount(idx, weights=wgt, minlength=grid.size)
     vals = np.cumsum(hist) * p.window.area ** 2 / (p.n * (p.n - 1))
     return SummaryCurve(grid, vals, "K", "empirical")
 
@@ -200,8 +196,6 @@ def default_pcf_bandwidth(p: PointPattern) -> float:
 def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCurve:
     """Kernel (Epanechnikov) estimate of the pair correlation function,
     translation-corrected. The grid must start above bandwidth/2."""
-    if not isinstance(p.window, Rect):
-        raise UnsupportedWindowError("pcf_hat needs a rectangular window")
     if p.n < 2:
         raise InsufficientPointsError(f"pcf_hat needs n >= 2, got n={p.n}")
     grid = _check_grid(grid)
@@ -213,13 +207,7 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
     if grid[0] <= b / 2.0:
         raise ParameterError(
             f"grid must start above bandwidth/2 = {b / 2}, got {grid[0]}")
-    parts = list(_pair_blocks(p.points, p.window, float(grid[-1]) + b))
-    if parts:
-        d = np.concatenate([q[0] for q in parts])
-        wgt = np.concatenate([q[1] for q in parts])
-    else:
-        d = np.zeros(0)
-        wgt = np.zeros(0)
+    d, wgt = _translation_pairs(p, float(grid[-1]) + b)
     order = np.argsort(d)
     d, wgt = d[order], wgt[order]
     # Epanechnikov sums via prefix sums of w, w*d, w*d^2:

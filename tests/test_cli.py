@@ -395,6 +395,24 @@ class TestEnvelope:
         assert rc == 3
 
 
+class TestDiscWindow:
+    def test_fit_and_K_envelope_on_disc(self, tmp_path, capsys):
+        from dsncp.data import load_whiteoak
+        disc = Disc(0.5, 0.5, 0.5)
+        data = tmp_path / "disc.csv"
+        load_whiteoak().restrict(disc).to_csv(data)
+        fits = tmp_path / "fits.json"
+        assert run_cli(["fit", "--data", data, "--window", "disc:0.5,0.5,0.5",
+                        "--family", "thomas", "--quiet", "-o", fits]) == 0
+        out = tmp_path / "env.csv"
+        assert run_cli(["envelope", "--data", data,
+                        "--window", "disc:0.5,0.5,0.5", "--fit", fits,
+                        "--stat", "K", "--n-sim", 99, "--seed", 3,
+                        "--quiet", "-o", out]) == 0
+        obs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert np.all(np.isfinite(obs))
+
+
 class TestStudy:
     CONFIG = {
         "alpha_values": [0.05, 0.08],
@@ -465,6 +483,14 @@ class TestStudy:
         rc = run_cli(["study", "--config", cfg, "-o", out])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_unreadable_output_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        out.mkdir()
+        rc = run_cli(["study", "--config", cfg, "-o", out])
+        assert rc == 2
+        assert f"cannot read {out}" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

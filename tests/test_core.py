@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dsncp.core import (
@@ -10,8 +12,6 @@ from dsncp.core import (
     PointPattern,
     Rect,
     RngStream,
-    UnsupportedWindowError,
-    shift_intersection_area,
 )
 from dsncp.summaries import _gamma_cdf_vec
 
@@ -75,30 +75,50 @@ class TestWindows:
 
 
 class TestShiftIntersection:
+    """``set_covariance``: the area of the window intersected with its
+    translate by a lag h."""
+
     def test_hand_values_unit_square(self):
         w = Rect(0.0, 1.0, 0.0, 1.0)
-        assert shift_intersection_area(w, np.array([0.0, 0.0])) == 1.0
-        assert shift_intersection_area(w, np.array([0.1, 0.0])) == pytest.approx(0.9)
-        assert shift_intersection_area(w, np.array([0.1, 0.2])) == pytest.approx(0.72)
-        assert shift_intersection_area(w, np.array([-0.1, 0.2])) == pytest.approx(0.72)
-        assert shift_intersection_area(w, np.array([1.0, 0.0])) == 0.0
-        assert shift_intersection_area(w, np.array([2.0, 0.5])) == 0.0
-
-    def test_monte_carlo_oracle(self):
-        # area of overlap == probability a uniform point lands in both copies
+        h = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.2], [-0.1, 0.2],
+                      [1.0, 0.0], [2.0, 0.5]])
+        np.testing.assert_allclose(w.set_covariance(h),
+                                   [1.0, 0.9, 0.72, 0.72, 0.0, 0.0],
+                                   rtol=1e-12)
+        assert w.set_covariance(np.array([1.0, 0.0]))[0] == 0.0
         w = Rect(0.0, 2.0, 0.0, 3.0)
-        h = np.array([0.7, -1.1])
+        assert w.set_covariance(np.array([0.7, -1.1]))[0] == \
+            pytest.approx((2 - 0.7) * (3 - 1.1), rel=1e-15)
+
+    @pytest.mark.parametrize("w, h", [
+        (Rect(0.0, 2.0, 0.0, 3.0), np.array([0.7, -1.1])),
+        (Disc(1.0, -2.0, 1.5), np.array([0.9, 1.6])),
+    ], ids=["rect", "disc"])
+    def test_monte_carlo_oracle(self, w, h):
+        # area of overlap == probability a uniform point lands in both copies
         gen = RngStream(11, 0).generator
         pts = w.sample_uniform(200_000, gen)
         shifted = pts - h  # u in (w + h) iff u - h in w
-        inside = w.contains(shifted)
-        mc = inside.mean() * w.area
-        assert shift_intersection_area(w, h) == pytest.approx(mc, abs=0.05)
-        assert shift_intersection_area(w, h) == pytest.approx((2 - 0.7) * (3 - 1.1))
+        mc = w.contains(shifted).mean() * w.area
+        assert w.set_covariance(h)[0] == pytest.approx(mc, abs=0.05)
 
-    def test_disc_unsupported(self):
-        with pytest.raises(UnsupportedWindowError):
-            shift_intersection_area(Disc(0, 0, 1), np.array([0.1, 0.0]))
+    @settings(max_examples=60, deadline=None)
+    @given(disc=st.booleans(),
+           angle=st.floats(0.0, 2.0 * math.pi),
+           lengths=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=8))
+    def test_properties_on_both_windows(self, disc, angle, lengths):
+        w = Disc(0.3, -0.2, 1.7) if disc else Rect(-1.0, 2.0, 0.5, 1.5)
+        assert w.set_covariance(np.zeros(2))[0] == pytest.approx(w.area,
+                                                                 rel=1e-12)
+        s = np.sort(np.asarray(lengths))
+        h = s[:, None] * np.array([math.cos(angle), math.sin(angle)])
+        cov = w.set_covariance(h)
+        np.testing.assert_array_equal(cov, w.set_covariance(-h))
+        assert np.all(cov >= 0.0)
+        assert np.all(np.diff(cov) <= 1e-12)
+        # no lag longer than the window's diameter leaves any overlap
+        reach = 2.0 * w.circumradius
+        assert np.all(cov[s > reach] == 0.0)
 
 
 class TestPointPattern:

@@ -173,7 +173,8 @@ class TestGinibreSpectrum:
                    * math.exp(-p.lam * math.pi * abs(u) ** 2 / (2 * p.nu))
                    * u ** (i - 1))
             expect = raw / math.sqrt(gammainc(float(i), t))
-            got = spec.eigenfunction(i - 1, (u.real, u.imag))
+            got = spec.basis.matrix(np.array([[u.real, u.imag]]),
+                                    np.array([i - 1]))[0, 0]
             assert got == pytest.approx(expect, rel=1e-10), i
 
     def test_large_count_stability(self):
@@ -183,7 +184,7 @@ class TestGinibreSpectrum:
         assert len(spec.eigenvalues) > 300
         assert spec.expected_count == pytest.approx(50 * math.pi * 1.5 ** 2,
                                                     abs=1e-6)
-        val = spec.eigenfunction(250, (0.7, 0.2))
+        val = spec.basis.matrix(np.array([[0.7, 0.2]]), np.array([250]))[0, 0]
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dsncp.envelope
 from dsncp.cluster import Family, ModelParams, sample_model
@@ -96,6 +99,31 @@ class TestExtremeRankLength:
         b = extreme_rank_length(
             CurveEnsemble(grid, obs * scale + shift, sims * scale + shift))
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda m: st.integers(1, 6).flatmap(
+        lambda k: arrays(np.int64, (m, k), elements=st.integers(0, 3)))))
+    def test_matches_lexicographic_oracle(self, curves):
+        # values in 0..3 force ties; the oracle ranks each curve by its
+        # rank-count vector c[k] = #{r : pointwise two-sided rank = k}, a
+        # curve being more extreme when its vector is larger
+        # lexicographically (more rank-1 points first, then rank-2, ...)
+        m = curves.shape[0]
+        counts = []
+        for j in range(m):
+            c = [0] * m
+            for col in curves.T:
+                lo = 1 + sum(v < col[j] for v in col)
+                hi = 1 + sum(v > col[j] for v in col)
+                c[min(lo, hi) - 1] += 1
+            counts.append(tuple(c))
+        distinct = sorted(set(counts), reverse=True)
+        want_stat = [1 + sum(c > counts[j] for c in counts) for j in range(m)]
+        want_grp = [distinct.index(counts[j]) for j in range(m)]
+        stat, grp = dsncp.envelope._erl_order_statistics(
+            curves.astype(float))
+        assert stat.tolist() == want_stat
+        assert grp.tolist() == want_grp
 
     def test_duplicate_of_observed_cannot_raise_extremeness(self):
         ens = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0])

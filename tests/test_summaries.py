@@ -16,12 +16,12 @@ from scipy import integrate
 
 from dsncp.cluster import Family, ModelParams
 from dsncp.core import (
+    Disc,
     InsufficientPointsError,
     ParameterError,
     PointPattern,
     Rect,
     RngStream,
-    UnsupportedWindowError,
 )
 from dsncp.summaries import (
     F_hat,
@@ -38,6 +38,31 @@ from dsncp.summaries import (
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
+DISC = Disc(0.5, 0.5, 0.5)
+
+
+def ordered_pair_sum(pts, w, kernel):
+    """Brute-force sum over ordered pairs i != j of kernel(d_ij) divided by
+    the window's overlap with its translate by the pair difference. The
+    overlap is written out here, apart from ``set_covariance``: the
+    rectangle's product of side gaps, the disc's lens area."""
+    total = 0.0
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i == j:
+                continue
+            dx = abs(pts[i, 0] - pts[j, 0])
+            dy = abs(pts[i, 1] - pts[j, 1])
+            d = math.hypot(dx, dy)
+            if isinstance(w, Rect):
+                lx, ly = w.side_lengths
+                area = (lx - dx) * (ly - dy)
+            else:
+                rad = w.radius
+                area = (2.0 * rad * rad * math.acos(d / (2.0 * rad))
+                        - d / 2.0 * math.sqrt(4.0 * rad * rad - d * d))
+            total = total + kernel(d) / area
+    return total
 
 
 def q_density(r, alpha, d=2):
@@ -284,33 +309,45 @@ class TestKHat:
         assert abs(c.values[1] - 1.0 / 0.9) < 1e-12
         assert abs(c.values[2] - 1.0 / 0.9) < 1e-12
 
-    def test_brute_force_agreement(self):
-        gen = RngStream(seed=77).generator
-        pts = UNIT.sample_uniform(60, gen)
-        p = PointPattern(pts, UNIT)
+    @staticmethod
+    def check_brute_force(w, seed):
+        gen = RngStream(seed=seed).generator
+        pts = w.sample_uniform(60, gen)
+        p = PointPattern(pts, w)
         grid = np.linspace(0.0, 0.3, 31)
         got = K_hat(p, grid).values
-        want = np.zeros_like(grid)
-        for i in range(60):
-            for j in range(60):
-                if i == j:
-                    continue
-                dx = abs(pts[i, 0] - pts[j, 0])
-                dy = abs(pts[i, 1] - pts[j, 1])
-                d = math.hypot(dx, dy)
-                area = (1.0 - dx) * (1.0 - dy)
-                want += (d <= grid) / area
-        want /= 60 * 59
+        want = ordered_pair_sum(pts, w, lambda d: (d <= grid).astype(float))
+        want *= w.area ** 2 / (60 * 59)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_brute_force_agreement(self):
+        self.check_brute_force(UNIT, 77)
+
+    def test_brute_force_agreement_on_disc(self):
+        self.check_brute_force(DISC, 78)
+
+    def test_pair_exactly_at_grid_end_counts(self):
+        # dist <= r is inclusive, also when r is the last grid point; the
+        # k-d tree's own rounding would drop this pair (hypot gives 0.5)
+        pts = np.array([[0.5, 0.5], [0.9, 0.8]])
+        c = K_hat(PointPattern(pts, UNIT), np.array([0.25, 0.5]))
+        assert c.values.tolist() == [0.0, pytest.approx(1 / 0.42, rel=1e-12)]
+
+    def test_grid_reaching_side_length(self):
+        # a pair on opposite edges has no overlapping translate; it is
+        # dropped, and K stays finite on a grid reaching past the side
+        pts = np.array([[0.0, 0.3], [1.0, 0.3], [0.4, 0.5], [0.5, 0.5]])
+        c = K_hat(PointPattern(pts, UNIT), np.linspace(0.0, 1.2, 13))
+        assert np.all(np.isfinite(c.values))
+        # the other five pairs overlap their translates by 0.48, 0.4, 0.32,
+        # 0.4 and 0.9, each counted as two ordered pairs out of 4 * 3
+        want = 2.0 * (1 / 0.48 + 1 / 0.4 + 1 / 0.32 + 1 / 0.4 + 1 / 0.9) / 12
+        assert c.values[-1] == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_input(self):
         p = PointPattern(np.array([[0.5, 0.5]]), UNIT)
         with pytest.raises(InsufficientPointsError):
             K_hat(p, np.array([0.1]))
-        from dsncp.core import Disc
-        pd = PointPattern(np.array([[0.0, 0.0], [0.1, 0.0]]), Disc(0, 0, 1))
-        with pytest.raises(UnsupportedWindowError):
-            K_hat(pd, np.array([0.1]))
         p2 = PointPattern(np.array([[0.4, 0.5], [0.5, 0.5]]), UNIT)
         with pytest.raises(ParameterError):
             K_hat(p2, np.array([0.2, 0.1]))
@@ -345,27 +382,29 @@ class TestKHat:
 
 
 class TestPcfHat:
-    def test_brute_force_agreement(self):
-        gen = RngStream(seed=99).generator
-        pts = UNIT.sample_uniform(50, gen)
-        p = PointPattern(pts, UNIT)
+    @staticmethod
+    def check_brute_force(w, seed):
+        gen = RngStream(seed=seed).generator
+        pts = w.sample_uniform(50, gen)
+        p = PointPattern(pts, w)
         b = 0.04
         grid = np.linspace(0.03, 0.3, 28)
         got = pcf_hat(p, grid, bandwidth=b).values
-        want = np.zeros_like(grid)
-        for i in range(50):
-            for j in range(50):
-                if i == j:
-                    continue
-                dx = abs(pts[i, 0] - pts[j, 0])
-                dy = abs(pts[i, 1] - pts[j, 1])
-                d = math.hypot(dx, dy)
-                t = grid - d
-                k = np.where(np.abs(t) <= b,
-                             0.75 / b * (1.0 - t ** 2 / b ** 2), 0.0)
-                want += k / ((1.0 - dx) * (1.0 - dy))
-        want /= 2.0 * math.pi * grid * 50 * 49
+
+        def kernel(d):
+            t = grid - d
+            return np.where(np.abs(t) <= b,
+                            0.75 / b * (1.0 - t ** 2 / b ** 2), 0.0)
+
+        want = ordered_pair_sum(pts, w, kernel)
+        want *= w.area ** 2 / (2.0 * math.pi * grid * 50 * 49)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_brute_force_agreement(self):
+        self.check_brute_force(UNIT, 99)
+
+    def test_brute_force_agreement_on_disc(self):
+        self.check_brute_force(DISC, 100)
 
     def test_default_bandwidth(self):
         gen = RngStream(seed=21).generator
