@@ -11,8 +11,22 @@ Either process exists iff beta <= 1/sqrt(pi * rho_Y); equality is the most
 repulsive case. Sampling goes through a spectral decomposition on a compact
 domain (Fourier basis on a rectangle for the Gaussian kernel, the explicit
 Laguerre-type basis on a disc for Ginibre) followed by the standard
-projection algorithm: Bernoulli-select eigenfunctions, then draw points
-sequentially from residual densities by exact rejection.
+projection algorithm (Lavancier, Moller & Rubak 2015, Alg. 1):
+Bernoulli-select k eigenfunctions, then draw the k points one by one, the
+j-th from the residual density ||v(x)||^2 - sum_{l<j} |<v(x), e_l>|^2
+(v the selected basis row, e_l the orthonormalised rows of the points
+already drawn), by exact rejection against the uniform law.
+
+The rejection step keeps a pool of pending proposals. Uniform proposals
+are drawn in batches, each projected once against the frame e_0, ...,
+e_{j-1} built so far; when a point is accepted, its row joins the frame and
+every pending residual drops by |<v, e_j>|^2, so a pending residual is
+always the current step's. A proposal leaves the pool when it is tested,
+whether accepted or not, and the proposals still untested are i.i.d.
+uniform and independent of every point and uniform drawn so far. Testing
+them at a later step is therefore the same rejection sampler as testing
+fresh ones, and the output law is exact. A draw costs O(k^2) per tested
+proposal instead of a fresh batch and a full re-projection at every step.
 """
 
 from __future__ import annotations
@@ -349,12 +363,18 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect,
 def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     """Draw one realization of the DPP with the given spectrum.
 
-    Eigen-indices are kept independently with probability xi_i; the kept
-    projection kernel is then sampled point by point from residual densities
-    via exact rejection against the uniform law, with the dominating bound a
-    fine-grid maximum of the total eigenfunction mass times a 1.1 safety
-    factor. A proposal exceeding the bound aborts the draw and restarts it
-    with a refitted bound, so the output law is never truncated.
+    Eigen-indices are kept independently with probability xi_i, drawn
+    first from ``rng``; the kept projection kernel of rank k is then
+    sampled point by point from residual densities via exact rejection
+    against the uniform law, with the dominating bound a fine-grid maximum
+    of the total eigenfunction mass times a 1.1 safety factor. Proposals
+    come in batches sized for about one acceptance at the current step
+    (at most 4096); those not yet tested stay pending, with their residual
+    densities lowered as each accepted point joins the orthonormal frame,
+    and are tested at later steps, which keeps the law exact (see the
+    module docstring). A fresh batch whose residual exceeds the bound
+    aborts the draw and restarts it with 1.5 times the observed value, up
+    to four tries, so the output law is never truncated.
     """
     gen = rng.generator
     m = spec.eigenvalues.size
@@ -381,40 +401,56 @@ def _sample_projection(spec: DppSpectrum, idx: np.ndarray, bound: float,
     k = idx.size
     basis = spec.basis
     domain = spec.domain
-    ortho = np.zeros((k, 0), dtype=complex)
+    frame = np.zeros((k, k), dtype=complex)  # rows e_0, ..., e_{j-1}
     pts = np.empty((k, 2))
-    batch = 64
+    # pending proposals: point, basis row v, residual density at step j
+    pool_x = np.empty((0, 2))
+    pool_v = np.empty((0, k), dtype=complex)
+    pool_r = np.empty(0)
     for j in range(k):
         while True:
-            proposals = domain.sample_uniform(batch, gen)
-            v = basis.matrix(proposals, idx)
-            resid = np.einsum("ij,ij->i", v.real, v.real) \
-                + np.einsum("ij,ij->i", v.imag, v.imag)
-            if ortho.shape[1]:
-                coef = v @ ortho.conj()
-                resid = resid - np.einsum("ij,ij->i", coef.real, coef.real) \
-                    - np.einsum("ij,ij->i", coef.imag, coef.imag)
-            worst = float(resid.max())
-            if worst > bound:
-                raise RejectionBoundError(
-                    f"residual density {worst} exceeded rejection bound "
-                    f"{bound}", observed=worst)
-            hits = np.flatnonzero(gen.random(batch) * bound < resid)
+            if not pool_r.size:
+                # about one acceptance expected: the residual integrates
+                # to k - j against a uniform proposal of mass bound * |D|
+                size = min(math.ceil(bound * domain.area / (k - j)), 4096)
+                pool_x = domain.sample_uniform(size, gen)
+                pool_v = basis.matrix(pool_x, idx)
+                pool_r = np.einsum("ij,ij->i", pool_v.real, pool_v.real) \
+                    + np.einsum("ij,ij->i", pool_v.imag, pool_v.imag)
+                if j:
+                    coef = frame[:j] @ pool_v.conj().T
+                    pool_r -= np.einsum("ij,ij->j", coef.real, coef.real) \
+                        + np.einsum("ij,ij->j", coef.imag, coef.imag)
+                # residuals only fall as the frame grows, so checking
+                # fresh proposals covers every later test of them
+                worst = float(pool_r.max())
+                if worst > bound:
+                    raise RejectionBoundError(
+                        f"residual density {worst} exceeded rejection bound "
+                        f"{bound}", observed=worst)
+            hits = np.flatnonzero(gen.random(pool_r.size) * bound < pool_r)
             if not hits.size:
-                batch = min(batch * 2, 4096)
+                pool_r = pool_r[:0]
                 continue
-            new_vec = v[hits[0]]
-            if ortho.shape[1]:
-                new_vec = new_vec - ortho @ (ortho.conj().T @ new_vec)
+            h = hits[0]
+            x, new_vec = pool_x[h], pool_v[h]
+            rest = slice(h + 1, None)
+            pool_x, pool_v, pool_r = pool_x[rest], pool_v[rest], pool_r[rest]
+            if j:
+                e = frame[:j]
+                new_vec = new_vec - (e @ new_vec.conj()).conj() @ e
                 # second pass makes the Gram-Schmidt numerically safe
-                new_vec = new_vec - ortho @ (ortho.conj().T @ new_vec)
+                new_vec = new_vec - (e @ new_vec.conj()).conj() @ e
             norm = np.linalg.norm(new_vec)
             if norm < 1e-12:
                 # accepted into an already-exhausted direction (pure
                 # rounding artifact, probability ~0); propose again
                 continue
-            pts[j] = proposals[hits[0]]
-            ortho = np.column_stack((ortho, new_vec / norm))
+            pts[j] = x
+            frame[j] = new_vec / norm
+            if pool_r.size:
+                coef = pool_v @ frame[j].conj()
+                pool_r -= coef.real * coef.real + coef.imag * coef.imag
             break
     return pts
 

@@ -32,7 +32,7 @@ from .core import (
     read_json,
 )
 from .dpp import max_admissible_beta
-from .fit import FitResult, min_contrast_fit
+from .fit import ContrastOptions, FitResult, min_contrast_fit
 from .summaries import (
     STATISTICS,
     F_hat,
@@ -383,6 +383,7 @@ def run_study(config: StudyConfig,
     cell reproduces the uninterrupted run bit for bit.
     """
     base = RngStream(seed=config.seed)
+    fit_grid = ContrastOptions.for_window(config.window).grid()
     rows: list[StudyRow] = []
     errors: list[dict] = []
     for cell_idx, fam_true, alpha, gamma, rho, fitted_families in config.cells():
@@ -401,9 +402,12 @@ def run_study(config: StudyConfig,
                                "gamma": gamma, "rhoY": rho, "replicate": rep,
                                "stage": "simulate", "error": str(exc)})
                 continue
+            # one K_hat serves every fit; below n = 2 each fit records
+            # its own refusal
+            k_emp = K_hat(pattern, fit_grid) if pattern.n >= 2 else None
             for k, fam_fit in enumerate(fitted_families):
                 try:
-                    fit = min_contrast_fit(pattern, fam_fit)
+                    fit = min_contrast_fit(pattern, fam_fit, k_hat=k_emp)
                     res = envelope_test(pattern, fit,
                                         statistic=config.statistic,
                                         n_sim=config.n_sim,

@@ -210,18 +210,14 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
     d, wgt = _translation_pairs(p, float(grid[-1]) + b)
     order = np.argsort(d)
     d, wgt = d[order], wgt[order]
-    # Epanechnikov sums via prefix sums of w, w*d, w*d^2:
-    # k_b(r-d) = 0.75/b * (1 - (r-d)^2/b^2), support |r-d| <= b
-    s0 = np.concatenate(([0.0], np.cumsum(wgt)))
-    s1 = np.concatenate(([0.0], np.cumsum(wgt * d)))
-    s2 = np.concatenate(([0.0], np.cumsum(wgt * d * d)))
+    # k_b(r-d) = 0.75/b * (1 - (r-d)^2/b^2), support |r-d| <= b, summed
+    # over each grid point's own window of pairs: every term is
+    # nonnegative, so no term is larger than the sum it builds
     lo = np.searchsorted(d, grid - b, side="left")
     hi = np.searchsorted(d, grid + b, side="right")
-    w0 = s0[hi] - s0[lo]
-    w1 = s1[hi] - s1[lo]
-    w2 = s2[hi] - s2[lo]
-    ksum = 0.75 / b * ((1.0 - grid ** 2 / b ** 2) * w0
-                       + 2.0 * grid / b ** 2 * w1 - w2 / b ** 2)
+    ksum = 0.75 / b * np.array([
+        wgt[i:j] @ (1.0 - ((r - d[i:j]) / b) ** 2)
+        for r, i, j in zip(grid, lo, hi)])
     vals = ksum * p.window.area ** 2 / (2 * math.pi * grid * p.n * (p.n - 1))
     return SummaryCurve(grid, vals, "pcf", "empirical")
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
+import dsncp.dpp
 from dsncp.core import (
     Disc,
     ExistenceError,
     ParameterError,
     Rect,
+    RejectionBoundError,
     RngStream,
 )
 from dsncp.dpp import (
@@ -25,6 +29,9 @@ from dsncp.dpp import (
     nth_order_intensity,
     sample_dpp,
     validate_dpp_params,
+    _FourierBasis,
+    _GinibreBasis,
+    _sample_projection,
 )
 
 
@@ -307,6 +314,120 @@ class TestSampler:
         # Poisson(1/pi) mean NN distance is 1/(2 sqrt(rho)) = 0.886;
         # Ginibre repulsion pushes it up by a clear margin
         assert np.mean(nn) > 1.0
+
+
+def _selection(spec, rng):
+    """The eigen-indices ``sample_dpp`` keeps: its first draws from rng."""
+    xi = spec.eigenvalues
+    return np.flatnonzero(rng.generator.random(xi.size) < xi)
+
+
+@st.composite
+def small_spectra(draw):
+    """A Fourier spectrum on a random rectangle or a Ginibre spectrum on a
+    random disc, with at most a few dozen eigenfunctions."""
+    if draw(st.booleans()):
+        x0 = draw(st.floats(-5.0, 5.0))
+        y0 = draw(st.floats(-5.0, 5.0))
+        rect = Rect(x0, x0 + draw(st.floats(0.2, 3.0)),
+                    y0, y0 + draw(st.floats(0.2, 3.0)))
+        pairs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              min_size=1, max_size=12, unique=True))
+        xi = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs),
+                           max_size=len(pairs)))
+        return DppSpectrum(rect, np.array(xi),
+                           _FourierBasis(rect, np.array(pairs)), 0.0)
+    nu = draw(st.floats(0.2, 1.0))
+    lam = draw(st.floats(0.5, 20.0))
+    r = draw(st.floats(0.2, 1.5))
+    if lam * math.pi * r * r / nu > 30.0:
+        r = math.sqrt(30.0 * nu / (lam * math.pi))
+    return ginibre_spectrum(GinibreParams(nu, lam), r)
+
+
+class TestProjectionSampler:
+    """The sequential step, seen apart from the Bernoulli selection: a
+    projection DPP of rank k has exactly k points."""
+
+    @given(spec=small_spectra(), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_draw_is_a_full_rank_k_point_set(self, spec, seed):
+        idx = _selection(spec, RngStream(seed, 1))
+        p = sample_dpp(spec, RngStream(seed, 1))
+        assert p.n == idx.size
+        assert np.all(spec.domain.contains(p.points))
+        if idx.size:
+            v = spec.basis.matrix(p.points, idx)
+            assert np.linalg.matrix_rank(v) == idx.size
+        again = sample_dpp(spec, RngStream(seed, 1))
+        assert np.array_equal(p.points, again.points)
+
+    @pytest.mark.slow
+    def test_fourier_projection_law(self):
+        # all-ones spectrum on S = {s in Z^2 : |s|^2 < 10}: for q != 0,
+        # E[|sum_i exp(2 pi i q.x_i)|^2] - k = -#{(s, t) in S^2 : s - t = q}
+        rect = Rect(0.0, 1.0, 0.0, 1.0)
+        freqs = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)
+                          if a * a + b * b < 10])
+        k = len(freqs)
+        assert k == 29
+        spec = DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
+        qs = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (5, 2)])
+        diffs = freqs[:, None, :] - freqs[None, :, :]
+        n_q = np.array([np.all(diffs == q, axis=-1).sum() for q in qs])
+        root = RngStream(7, 0)
+        reps = 2000
+        stat = np.empty((reps, qs.shape[0]))
+        for i in range(reps):
+            x = sample_dpp(spec, root.substream(i)).points
+            assert x.shape == (k, 2)
+            stat[i] = np.abs(np.exp(2j * math.pi * x @ qs.T).sum(axis=0)) ** 2 - k
+        dev = stat + n_q
+        z = dev.mean(axis=0) / (dev.std(axis=0, ddof=1) / math.sqrt(reps))
+        assert np.all(np.abs(z) <= 4.0), z
+        # jointly: Hotelling's T^2 is about chi^2 with 6 degrees of freedom,
+        # and 27.86 is its 1e-4 upper quantile. A sampler that tests pending
+        # proposals against stale residuals shifts all six means the same
+        # way and reads T^2 = 35-56 at seeds 7, 11-14.
+        mean = dev.mean(axis=0)
+        t2 = reps * mean @ np.linalg.solve(np.cov(dev, rowvar=False), mean)
+        assert t2 <= 27.86, (t2, z)
+
+
+class TestRejectionBound:
+    def test_bound_below_density_raises_with_observed(self):
+        rect = Rect(0.0, 2.0, 0.0, 1.0)
+        spec = gaussian_dpp_spectrum(GaussianDpp(20.0, 0.1), rect)
+        idx = np.arange(spec.eigenvalues.size)
+        # each |phi_i|^2 is 1/|D|, so the first residual is k/|D| everywhere
+        bound = 0.5 * idx.size / rect.area
+        with pytest.raises(RejectionBoundError) as err:
+            _sample_projection(spec, idx, bound, np.random.default_rng(0))
+        assert err.value.observed > bound
+
+    @pytest.mark.parametrize("basis", [_FourierBasis, _GinibreBasis])
+    def test_sample_dpp_restarts_after_a_low_bound(self, basis, monkeypatch):
+        if basis is _FourierBasis:
+            spec = gaussian_dpp_spectrum(GaussianDpp(20.0, 0.1),
+                                         Rect(0.0, 2.0, 0.0, 1.0))
+        else:
+            spec = ginibre_spectrum(GinibreParams(1.0, 20.0), r=1.0)
+        true_bound = basis.sup_sq_bound
+        monkeypatch.setattr(basis, "sup_sq_bound",
+                            lambda self, idx: 0.2 * true_bound(self, idx))
+        calls = []
+        sample = dsncp.dpp._sample_projection
+
+        def spy(*args):
+            calls.append(args[2])
+            return sample(*args)
+
+        monkeypatch.setattr(dsncp.dpp, "_sample_projection", spy)
+        idx = _selection(spec, RngStream(3, 0))
+        p = sample_dpp(spec, RngStream(3, 0))
+        assert p.n == idx.size
+        assert len(calls) >= 2
+        assert calls[1] > calls[0]
 
 
 class TestNthOrderIntensity:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dsncp.envelope
+import dsncp.fit
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import ParameterError, PointPattern, Rect, RngStream
 from dsncp.envelope import (
@@ -340,6 +341,25 @@ class TestStudy:
         assert len(result.rows) == 1
         assert result.rows[0].replicates_ok == 0
         assert math.isnan(result.rows[0].reject_rate)
+
+    def test_one_K_hat_per_replicate(self, monkeypatch):
+        # two fitted families share the replicate's K_hat
+        calls = []
+        k_hat = dsncp.envelope.K_hat
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return k_hat(*args, **kwargs)
+
+        monkeypatch.setattr(dsncp.envelope, "K_hat", counted)
+        monkeypatch.setattr(dsncp.fit, "K_hat", counted)
+        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
+                          rho_values=(30.0,), families=("thomas",),
+                          fitted_families=(Family.THOMAS, Family.GINIBRE),
+                          replicates=2, n_sim=19, level=0.9, seed=11)
+        result = run_study(cfg)
+        assert [r.replicates_ok for r in result.rows] == [2, 2]
+        assert len(calls) == 2
 
     def test_library_bug_is_not_a_replicate_failure(self, monkeypatch):
         def broken_fit(*args, **kwargs):

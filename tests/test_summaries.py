@@ -30,6 +30,7 @@ from dsncp.summaries import (
     K_hat,
     K_theoretical,
     SummaryCurve,
+    _translation_pairs,
     default_grid,
     default_pcf_bandwidth,
     pcf_crossover_radius,
@@ -405,6 +406,23 @@ class TestPcfHat:
 
     def test_brute_force_agreement_on_disc(self):
         self.check_brute_force(DISC, 100)
+
+    def test_kernel_sum_has_no_cancellation(self):
+        # 3000 uniform points on a 2 x 0.5 strip, grid to 0.6 (past the
+        # short side), default bandwidth: each value must match an exactly
+        # rounded kernel sum over the estimator's own pairs
+        w = Rect(0.0, 2.0, 0.0, 0.5)
+        p = PointPattern(w.sample_uniform(3000, RngStream(seed=31).generator), w)
+        b = default_pcf_bandwidth(p)
+        grid = np.linspace(0.0, 0.6, 513)[8::8]
+        got = pcf_hat(p, grid).values
+        d, wgt = _translation_pairs(p, grid[-1] + b)
+        want = np.empty(grid.size)
+        for i, r in enumerate(grid):
+            near = np.abs(r - d) <= b
+            want[i] = math.fsum(wgt[near] * (1.0 - ((r - d[near]) / b) ** 2))
+        want *= 0.75 / b * w.area ** 2 / (2.0 * math.pi * grid * 3000 * 2999)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_default_bandwidth(self):
         gen = RngStream(seed=21).generator
