@@ -87,14 +87,15 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_seed(text: str) -> int:
+def _parse_u64(text: str) -> int:
+    """A ``--seed`` or ``--stream`` value: an integer in [0, 2^64)."""
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"seed must be an integer, got {text!r}") from None
+            f"must be an integer, got {text!r}") from None
     if not 0 <= v < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be in [0, 2^64)")
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {v}")
     return v
 
 
@@ -307,9 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suppress informational output")
 
     rng = argparse.ArgumentParser(add_help=False)
-    rng.add_argument("--seed", type=_parse_seed, default=0,
+    rng.add_argument("--seed", type=_parse_u64, default=0,
                      help="64-bit seed (default 0)")
-    rng.add_argument("--stream", type=int, default=0,
+    rng.add_argument("--stream", type=_parse_u64, default=0,
                      help="stream id for independent runs under one seed")
 
     model = argparse.ArgumentParser(add_help=False)

@@ -108,17 +108,6 @@ def _erl_order_statistics(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stat, grp
 
 
-def extreme_rank_length(ensemble: CurveEnsemble) -> np.ndarray:
-    """Extremeness order statistic for the observed curve and each sim.
-
-    Element 0 is the observed curve, elements 1..s the simulations;
-    1 = most extreme, exact ties share the value.
-    """
-    curves = np.vstack([ensemble.observed, ensemble.sims])
-    stat, _ = _erl_order_statistics(curves)
-    return stat
-
-
 @dataclass(frozen=True)
 class EnvelopeResult:
     r: np.ndarray

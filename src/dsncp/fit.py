@@ -170,19 +170,6 @@ def _contrast(emp_q: np.ndarray, m: ModelParams, opts: ContrastOptions,
     return float(trapezoid(np.abs(emp_q - theo ** opts.q) ** opts.p, grid))
 
 
-def contrast_objective(k_hat: SummaryCurve, m: ModelParams,
-                       options: ContrastOptions) -> float:
-    """Contrast between an empirical K curve and a model's K.
-
-    The curve is interpolated onto the options grid when the grids differ;
-    the integral uses the trapezoid rule.
-    """
-    if not m.alpha > 0:
-        raise ParameterError(f"alpha must be > 0, got {m.alpha}")
-    grid = options.grid()
-    return _contrast(_on_grid(k_hat, grid) ** options.q, m, options, grid)
-
-
 def _log_starts(bounds: tuple[float, float]) -> np.ndarray:
     lo, hi = math.log(bounds[0]), math.log(bounds[1])
     return np.linspace(lo, hi, 5)[1:4]

@@ -241,22 +241,19 @@ def _border_corrected_fraction(dist: np.ndarray, bdist: np.ndarray,
     """For each r: among reference points with boundary distance >= r, the
     fraction whose measured distance is <= r (NaN when none qualify).
 
-    Counting runs through a 2-D histogram over (boundary-bin, distance-bin)
-    so the whole curve costs O(len + grid^2) instead of O(len * grid).
+    A point counts at r_k exactly when d_idx <= k <= b_idx, one interval of
+    grid indices, so a difference array (+1 at d_idx, -1 at b_idx + 1) and
+    one cumulative sum give every numerator: O(len + grid) in all.
     """
     g = grid.size
-    b_idx = np.searchsorted(grid, bdist, side="right") - 1  # bin j: bdist >= r_k iff j >= k
-    d_idx = np.searchsorted(grid, dist, side="left")        # bin c: dist <= r_k iff c <= k
-    ok = b_idx >= 0
-    hist = np.zeros((g, g + 1))
-    np.add.at(hist, (b_idx[ok], np.minimum(d_idx[ok], g)), 1.0)
-    row_suffix = np.cumsum(hist[::-1], axis=0)[::-1]
-    eligible = row_suffix.sum(axis=1)
-    num = np.cumsum(row_suffix, axis=1)
+    b_idx = np.searchsorted(grid, bdist, side="right") - 1  # bdist >= r_k iff k <= b_idx
+    d_idx = np.searchsorted(grid, dist, side="left")        # dist <= r_k iff k >= d_idx
+    eligible = np.cumsum(np.bincount(b_idx[b_idx >= 0], minlength=g)[::-1])[::-1]
+    hit = d_idx <= b_idx
+    num = np.cumsum(np.bincount(d_idx[hit], minlength=g + 1)
+                    - np.bincount(b_idx[hit] + 1, minlength=g + 1))[:g]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(eligible > 0,
-                        num[np.arange(g), np.arange(g)] / eligible,
-                        np.nan)
+        return np.where(eligible > 0, num / eligible, np.nan)
 
 
 def F_hat(p: PointPattern, grid) -> SummaryCurve:

@@ -18,7 +18,7 @@ import dsncp.cluster
 from dsncp.cli import (
     _build_model,
     _parse_grid,
-    _parse_seed,
+    _parse_u64,
     _parse_window,
     main,
 )
@@ -74,11 +74,11 @@ class TestParsers:
             _parse_grid(text)
 
     def test_seed_range(self):
-        assert _parse_seed("0") == 0
-        assert _parse_seed(str(2 ** 64 - 1)) == 2 ** 64 - 1
+        assert _parse_u64("0") == 0
+        assert _parse_u64(str(2 ** 64 - 1)) == 2 ** 64 - 1
         for text in ["-1", str(2 ** 64), "seven"]:
             with pytest.raises(argparse.ArgumentTypeError):
-                _parse_seed(text)
+                _parse_u64(text)
 
 
 def model_args(**kw):
@@ -141,6 +141,18 @@ class TestSimulate:
         assert run_cli(args + ["-o", a]) == 0
         assert run_cli(args + ["-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--stream"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 64])
+    def test_out_of_range_rng_flag_exits_2(self, flag, value, tmp_path,
+                                           capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
+                     "--gamma", 6, "--rhoY", 50, "--window", "rect:0,1,0,1",
+                     flag, value, "-o", tmp_path / "p.csv"])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be in [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_stream_changes_output(self, tmp_path):
         args = ["simulate", "--model", "thomas", "--alpha", 0.05,
@@ -386,6 +398,19 @@ class TestEnvelope:
                       "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
         assert rc == 2
         assert "--family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--stream"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 64])
+    def test_out_of_range_rng_flag_exits_2(self, flag, value, pattern_csv,
+                                           fit_json, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["envelope", "--data", pattern_csv,
+                     "--window", "rect:0,1,0,1", "--fit", fit_json,
+                     "--family", "thomas", "--stat", "K", "--n-sim", 99,
+                     flag, value, "-o", tmp_path / "e.csv"])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be in [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_too_few_sims_exits_3(self, pattern_csv, fit_json, tmp_path):
         rc = run_cli(["envelope", "--data", pattern_csv,

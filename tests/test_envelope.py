@@ -24,8 +24,8 @@ from dsncp.envelope import (
     CurveEnsemble,
     EnvelopeResult,
     StudyConfig,
+    _erl_order_statistics,
     envelope_test,
-    extreme_rank_length,
     global_envelope,
     run_study,
 )
@@ -39,6 +39,12 @@ def constant_ensemble(obs_value, sim_values, width=7):
     obs = np.full(width, float(obs_value))
     sims = np.tile(np.asarray(sim_values, dtype=float)[:, None], (1, width))
     return CurveEnsemble(grid, obs, sims)
+
+
+def erl_statistic(ens):
+    """The ERL order statistic global_envelope ranks by; observed first."""
+    stat, _ = _erl_order_statistics(np.vstack([ens.observed, ens.sims]))
+    return stat
 
 
 class TestCurveEnsemble:
@@ -70,12 +76,12 @@ class TestExtremeRankLength:
         # 4->2, 3->3; the observed curve has pointwise rank 1 everywhere
         # and shares maximal extremeness with the bottom simulation
         ens = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0])
-        stat = extreme_rank_length(ens)
+        stat = erl_statistic(ens)
         np.testing.assert_array_equal(stat, [1, 1, 3, 5, 3])
 
     def test_observed_identical_to_one_sim_ties(self):
         ens = constant_ensemble(2.0, [1.0, 2.0, 3.0, 4.0])
-        stat = extreme_rank_length(ens)
+        stat = erl_statistic(ens)
         assert stat[0] == stat[2]
 
     def test_sign_flip_leaves_ordering_unchanged(self):
@@ -83,8 +89,8 @@ class TestExtremeRankLength:
         grid = np.linspace(0.0, 1.0, 20)
         obs = gen.normal(size=20)
         sims = gen.normal(size=(15, 20))
-        a = extreme_rank_length(CurveEnsemble(grid, obs, sims))
-        b = extreme_rank_length(CurveEnsemble(grid, -obs, -sims))
+        a = erl_statistic(CurveEnsemble(grid, obs, sims))
+        b = erl_statistic(CurveEnsemble(grid, -obs, -sims))
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_transform_invariance(self):
@@ -94,10 +100,10 @@ class TestExtremeRankLength:
         grid = np.linspace(0.0, 1.0, 12)
         obs = gen.normal(size=12)
         sims = gen.normal(size=(9, 12))
-        a = extreme_rank_length(CurveEnsemble(grid, obs, sims))
+        a = erl_statistic(CurveEnsemble(grid, obs, sims))
         scale = np.exp(gen.normal(size=12))
         shift = gen.normal(size=12)
-        b = extreme_rank_length(
+        b = erl_statistic(
             CurveEnsemble(grid, obs * scale + shift, sims * scale + shift))
         np.testing.assert_array_equal(a, b)
 
@@ -121,15 +127,14 @@ class TestExtremeRankLength:
         distinct = sorted(set(counts), reverse=True)
         want_stat = [1 + sum(c > counts[j] for c in counts) for j in range(m)]
         want_grp = [distinct.index(counts[j]) for j in range(m)]
-        stat, grp = dsncp.envelope._erl_order_statistics(
-            curves.astype(float))
+        stat, grp = _erl_order_statistics(curves.astype(float))
         assert stat.tolist() == want_stat
         assert grp.tolist() == want_grp
 
     def test_duplicate_of_observed_cannot_raise_extremeness(self):
         ens = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0])
         with_dup = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0, 10.0])
-        assert extreme_rank_length(with_dup)[0] == 1
+        assert erl_statistic(with_dup)[0] == 1
         p_before = global_envelope(ens, level=0.8).p_value
         p_after = global_envelope(with_dup, level=0.8).p_value
         assert p_after >= p_before

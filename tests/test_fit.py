@@ -23,7 +23,8 @@ from dsncp.dpp import most_repulsive_intensity
 from dsncp.fit import (
     ContrastOptions,
     FitResult,
-    contrast_objective,
+    _contrast,
+    _on_grid,
     estimate_gamma,
     min_contrast_fit,
 )
@@ -34,6 +35,12 @@ UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
 def exact_curve(m, grid):
     return SummaryCurve(grid, K_theoretical(m, grid), "K", "empirical")
+
+
+def contrast(k_hat, m, o):
+    """The objective min_contrast_fit minimises, at the model m."""
+    grid = o.grid()
+    return _contrast(_on_grid(k_hat, grid) ** o.q, m, o, grid)
 
 
 def dummy_pattern(n=50, seed=3):
@@ -91,27 +98,28 @@ class TestContrastObjective:
     def test_zero_at_truth(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
         o = ContrastOptions.for_window(UNIT)
-        assert contrast_objective(exact_curve(m, o.grid()), m, o) == 0.0
+        assert contrast(exact_curve(m, o.grid()), m, o) == 0.0
 
     def test_positive_away_from_truth(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
         off = ModelParams(family="thomas", gamma=2.0, alpha=0.08, rho_Y=120.0)
         o = ContrastOptions.for_window(UNIT)
-        assert contrast_objective(exact_curve(m, o.grid()), off, o) > 1e-6
+        assert contrast(exact_curve(m, o.grid()), off, o) > 1e-6
 
     def test_interpolates_other_grids(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
         o = ContrastOptions.for_window(UNIT)
         fine = np.linspace(0.0, 0.3, 2049)
-        val = contrast_objective(exact_curve(m, fine), m, o)
+        val = contrast(exact_curve(m, fine), m, o)
         assert val < 1e-10  # only interpolation error
 
     def test_rejects_short_curves(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
         o = ContrastOptions.for_window(UNIT)
         short = np.linspace(0.0, 0.1, 65)
-        with pytest.raises(ParameterError):
-            contrast_objective(exact_curve(m, short), m, o)
+        with pytest.raises(ParameterError, match="does not cover"):
+            min_contrast_fit(dummy_pattern(), "thomas", o,
+                             k_hat=exact_curve(m, short))
 
 
 class TestSyntheticRecovery:

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dsncp.cluster import Family, ModelParams
@@ -30,6 +32,7 @@ from dsncp.summaries import (
     K_hat,
     K_theoretical,
     SummaryCurve,
+    _border_corrected_fraction,
     _translation_pairs,
     default_grid,
     default_pcf_bandwidth,
@@ -457,6 +460,28 @@ class TestDistanceFunctions:
             if elig.any():
                 out[k] = np.mean(dist[elig] <= r)
         return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counting_matches_per_radius_count(self, data):
+        # values are drawn from a pool holding every grid point itself
+        # (ties), midpoints, values below the first and beyond the last
+        # grid point, inf distances (an empty pattern's F) and a boundary
+        # distance just below 0 (a disc point inside Disc.contains' slack)
+        start = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+        step = data.draw(st.sampled_from([0.01, 0.1 / 3, 0.07]))
+        grid = start + step * np.arange(data.draw(st.integers(1, 9)))
+        around = np.concatenate([grid, grid + step / 2, [grid[0] - step / 2]])
+        n = data.draw(st.integers(0, 12))
+        dist = np.array(data.draw(st.lists(
+            st.sampled_from(around[around >= 0].tolist() + [np.inf]),
+            min_size=n, max_size=n)), dtype=float)
+        bdist = np.array(data.draw(st.lists(
+            st.sampled_from(around.tolist() + [-1e-13]),
+            min_size=n, max_size=n)), dtype=float)
+        got = _border_corrected_fraction(dist, bdist, grid)
+        want = self.naive_fraction(dist, bdist, grid)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_F_matches_naive(self):
         gen = RngStream(seed=11).generator
