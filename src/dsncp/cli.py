@@ -87,15 +87,27 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_u64(text: str) -> int:
-    """A ``--seed`` or ``--stream`` value: an integer in [0, 2^64)."""
+def _parse_int(text: str) -> int:
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}") from None
+
+
+def _parse_u64(text: str) -> int:
+    """A ``--seed`` or ``--stream`` value: an integer in [0, 2^64)."""
+    v = _parse_int(text)
     if not 0 <= v < 1 << 64:
         raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {v}")
+    return v
+
+
+def _parse_jobs(text: str) -> int:
+    """A ``--jobs`` value: a positive integer."""
+    v = _parse_int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
 
 
@@ -164,9 +176,13 @@ def _load_fit(path: str, family: str | None) -> FitResult:
             raise InputFileError(f"{path} has no {family!r} fit")
         d = d["fits"][family]
     try:
-        return FitResult.from_dict(d)
+        fit = FitResult.from_dict(d)
     except (KeyError, TypeError, ParameterError) as exc:
         raise InputFileError(f"{path}: not a fit result: {exc}") from None
+    if family is not None and fit.family.value != family:
+        raise InputFileError(f"{path} holds a {fit.family.value!r} fit, "
+                             f"not the {family!r} fit --family asks for")
+    return fit
 
 
 def _curve_csv_text(r: np.ndarray, values: np.ndarray) -> str:
@@ -388,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sim", dest="n_sim", type=int, required=True,
                    help="simulations (199 fast, 2499 recommended)")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_jobs, default=1,
                    help="parallel workers for the simulations")
     p.add_argument("-o", "--output", required=True,
                    help="envelope CSV path; p-value JSON lands beside it")
@@ -397,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", parents=[quiet],
                        help="misspecification rejection-rate study")
     p.add_argument("--config", required=True, help="study config JSON")
-    p.add_argument("--jobs", type=int,
+    p.add_argument("--jobs", type=_parse_jobs,
                    help="override the config's worker count")
     p.add_argument("-o", "--output", required=True,
                    help="study CSV path; existing complete cells are kept "

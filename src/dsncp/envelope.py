@@ -15,11 +15,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .cluster import Extension, Family, ModelParams, sample_model
 from .core import (
@@ -89,10 +89,20 @@ def _erl_order_statistics(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     curve j from the most extreme end (1 = most extreme, exact ties share),
     group[j] an id increasing with decreasing extremeness (ties share).
     """
-    m = curves.shape[0]
-    r_lo = rankdata(curves, method="min", axis=0)
-    r_hi = rankdata(-curves, method="min", axis=0)
-    ranks = np.minimum(r_lo, r_hi)
+    m, g = curves.shape
+    order = np.argsort(curves, axis=0, kind="stable")
+    srt = np.take_along_axis(curves, order, axis=0)
+    # each sorted column splits into tie runs [s, e): a run's values rank
+    # s + 1 from below and m - e + 1 from above (competition ranks)
+    edge = np.ones((1, g), dtype=bool)
+    run_start = np.vstack((edge, srt[1:] != srt[:-1]))
+    run_last = np.vstack((run_start[1:], edge))
+    pos = np.arange(m)[:, None]
+    s = np.maximum.accumulate(np.where(run_start, pos, 0), axis=0)
+    e = np.minimum.accumulate(np.where(run_last, pos + 1, m)[::-1],
+                              axis=0)[::-1]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.minimum(s + 1, m - e + 1), axis=0)
     # lexicographic comparison of rank-count vectors == lexicographic
     # comparison of each curve's ascending-sorted pointwise ranks
     sorted_ranks = np.sort(ranks, axis=1)
@@ -226,6 +236,8 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
     """
     if rng is None:
         raise ParameterError("an RngStream is required")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if level == 0.95 and n_sim + 1 < 100:
         raise ParameterError(
             f"need at least 99 simulations at level 0.95, got {n_sim}")
@@ -279,8 +291,11 @@ class StudyConfig:
             if not vals or any(v <= 0 for v in vals):
                 raise ParameterError(f"{name} must be positive and non-empty")
             object.__setattr__(self, name, vals)
-        if self.replicates < 1 or self.n_sim < 1:
-            raise ParameterError("replicates and n_sim must be >= 1")
+        for name in ("replicates", "n_sim", "jobs"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or v < 1:
+                raise ParameterError(
+                    f"{name} must be an integer >= 1, got {v!r}")
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
 

@@ -17,7 +17,9 @@ import pytest
 import dsncp.cluster
 from dsncp.cli import (
     _build_model,
+    _load_fit,
     _parse_grid,
+    _parse_jobs,
     _parse_u64,
     _parse_window,
     main,
@@ -79,6 +81,13 @@ class TestParsers:
         for text in ["-1", str(2 ** 64), "seven"]:
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_u64(text)
+
+    def test_jobs_range(self):
+        assert _parse_jobs("1") == 1
+        assert _parse_jobs("16") == 16
+        for text in ["0", "-4", "two", "1.5"]:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_jobs(text)
 
 
 def model_args(**kw):
@@ -399,6 +408,34 @@ class TestEnvelope:
         assert rc == 2
         assert "--family" in capsys.readouterr().err
 
+    def test_single_fit_of_another_family_exits_2(self, pattern_csv,
+                                                  fit_json, tmp_path, capsys):
+        single = tmp_path / "thomas.json"
+        fits = json.loads(fit_json.read_text())["fits"]
+        single.write_text(json.dumps(fits["thomas"]))
+        assert _load_fit(str(single), "thomas").family is Family.THOMAS
+        assert _load_fit(str(single), None).family is Family.THOMAS
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", single,
+                      "--family", "ginibre-dpp-thomas", "--stat", "K",
+                      "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'thomas'" in err and "'ginibre-dpp-thomas'" in err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_nonpositive_jobs_exits_2(self, jobs, pattern_csv, fit_json,
+                                      tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["envelope", "--data", pattern_csv,
+                     "--window", "rect:0,1,0,1", "--fit", fit_json,
+                     "--family", "thomas", "--stat", "K", "--n-sim", 99,
+                     "--jobs", jobs, "-o", tmp_path / "e.csv"])
+        assert err.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--stream"])
     @pytest.mark.parametrize("value", [-1, 2 ** 64])
     def test_out_of_range_rng_flag_exits_2(self, flag, value, pattern_csv,
@@ -516,6 +553,19 @@ class TestStudy:
         rc = run_cli(["study", "--config", cfg, "-o", out])
         assert rc == 2
         assert f"cannot read {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_nonpositive_jobs_exits_2(self, jobs, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["study", "--config", cfg, "--jobs", jobs, "-o", out])
+        assert err.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        cfg.write_text(json.dumps({**self.CONFIG, "jobs": jobs}))
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -131,6 +131,33 @@ class TestExtremeRankLength:
         assert stat.tolist() == want_stat
         assert grp.tolist() == want_grp
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda m: st.integers(1, 8).flatmap(
+        lambda k: st.one_of(
+            arrays(np.int64, (m, k), elements=st.integers(-2, 2)),
+            arrays(np.int64, (m, k), elements=st.integers(-15, 15)).map(
+                lambda a: a / 10.0)))))
+    @example(np.array([[1.0], [1.0]]))
+    @example(np.array([[0.1], [0.2]]))
+    @example(np.array([[3.0, 1.0, 2.0], [3.0, 2.0, 1.0]]))
+    @example(np.array([[0.0], [1.0], [0.0], [2.0], [1.0]]))
+    def test_matches_rankdata_reference(self, curves):
+        # integer and 1-decimal values make ties common; the reference
+        # takes competition ranks from scipy, then orders curves by their
+        # ascending-sorted ranks, smaller tuples being more extreme
+        from scipy.stats import rankdata
+        curves = curves.astype(float)
+        m = curves.shape[0]
+        ranks = np.minimum(rankdata(curves, method="min", axis=0),
+                           rankdata(-curves, method="min", axis=0))
+        keys = [tuple(sorted(row)) for row in ranks.tolist()]
+        distinct = sorted(set(keys))
+        want_stat = [1 + sum(k < keys[j] for k in keys) for j in range(m)]
+        want_grp = [distinct.index(keys[j]) for j in range(m)]
+        stat, grp = _erl_order_statistics(curves)
+        assert stat.tolist() == want_stat
+        assert grp.tolist() == want_grp
+
     def test_duplicate_of_observed_cannot_raise_extremeness(self):
         ens = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0])
         with_dup = constant_ensemble(10.0, [1.0, 2.0, 3.0, 4.0, 10.0])
@@ -234,6 +261,10 @@ class TestEnvelopeTest:
         with pytest.raises(ParameterError, match="level must be in"):
             envelope_test(p, m, statistic="J", n_sim=99, rng=RngStream(1),
                           level=1.5)
+        for jobs in (0, -4):
+            with pytest.raises(ParameterError, match="jobs must be >= 1"):
+                envelope_test(p, m, statistic="J", n_sim=99,
+                              rng=RngStream(1), jobs=jobs)
 
     def test_self_test_accepts_true_model(self):
         m, p = thomas_pattern(seed=71)
@@ -291,6 +322,16 @@ class TestStudy:
         with pytest.raises(ParameterError):
             StudyConfig(alpha_values=(0.05,), gamma_values=(1,),
                         rho_values=(1,), statistic="Z")
+        # a float count from a config file would only fail mid-study
+        for name, value in (("jobs", 0), ("jobs", -4), ("jobs", 1.5),
+                            ("replicates", 2.5), ("n_sim", 99.5)):
+            with pytest.raises(ParameterError,
+                               match=f"{name} must be an integer >= 1"):
+                StudyConfig(alpha_values=(0.05,), gamma_values=(1,),
+                            rho_values=(1,), **{name: value})
+        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(1,),
+                          rho_values=(1,), replicates=np.int64(2))
+        assert cfg.replicates == 2
 
     def test_config_from_dict(self):
         cfg = StudyConfig.from_dict({

@@ -6,11 +6,17 @@ recovered), and against an exhaustive refining grid search of the same
 objective on a real simulated pattern.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsncp
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import (
     InsufficientPointsError,
@@ -112,6 +118,20 @@ class TestContrastObjective:
         fine = np.linspace(0.0, 0.3, 2049)
         val = contrast(exact_curve(m, fine), m, o)
         assert val < 1e-10  # only interpolation error
+
+    def test_equals_scipy_trapezoid(self):
+        from scipy.integrate import trapezoid
+        m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
+        off = ModelParams(family="thomas", gamma=2.0, alpha=0.07, rho_Y=90.0)
+        gen = RngStream(seed=5).generator
+        for o in (ContrastOptions.for_window(UNIT),
+                  ContrastOptions(r_min=0.01, r_max=0.2, q=0.5, p=3.0,
+                                  grid_size=100)):
+            for grid in (o.grid(), np.sort(gen.uniform(0.01, 0.2, 100))):
+                emp_q = K_theoretical(m, grid) ** o.q
+                want = trapezoid(np.abs(emp_q - K_theoretical(off, grid)
+                                        ** o.q) ** o.p, grid)
+                assert _contrast(emp_q, off, o, grid) == float(want)
 
     def test_rejects_short_curves(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
@@ -270,3 +290,37 @@ class TestRecoveryStudyRegime:
         med_beta = float(np.median(betas))
         assert abs(med_alpha - m.alpha) <= 0.15 * m.alpha
         assert abs(med_beta - m.beta) <= 0.20 * m.beta
+
+
+_FRESH_FIT = """
+import json, sys
+import dsncp, dsncp.cli
+heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+loaded = [name for name in heavy if name in sys.modules]
+from dsncp.cluster import ModelParams, sample_model
+from dsncp.core import Rect, RngStream
+from dsncp.fit import min_contrast_fit
+m = ModelParams(family="thomas", gamma=4.0, alpha=0.04, rho_Y=60.0)
+p = sample_model(m, Rect(0.0, 1.0, 0.0, 1.0), rng=RngStream(seed=21))
+fit = min_contrast_fit(p, "thomas")
+print(json.dumps({"loaded": loaded,
+                  "optimize_after_fit": "scipy.optimize" in sys.modules,
+                  "fit": fit.to_dict()}))
+"""
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # importing the package and its CLI must not pay for scipy.stats,
+    # scipy.integrate or scipy.optimize; the first fit loads the optimizer
+    # and gives the same result as in this (already warm) process
+    src = str(Path(dsncp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_FIT], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["optimize_after_fit"]
+    m = ModelParams(family="thomas", gamma=4.0, alpha=0.04, rho_Y=60.0)
+    p = sample_model(m, UNIT, rng=RngStream(seed=21))
+    assert out["fit"] == min_contrast_fit(p, "thomas").to_dict()
