@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -36,6 +35,7 @@ from .core import (
     RngStream,
     Window,
     read_json,
+    write_json,
 )
 from .dpp import DppSpectrum, most_repulsive_intensity
 from .envelope import StudyConfig, envelope_test, resume_study
@@ -268,7 +268,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         else:
             payload = {"n": pattern.n, "window_area": pattern.window.area,
                        "fits": {f.family.value: f.to_dict() for f in fits}}
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        write_json(args.output, payload)
     if not args.quiet:
         _print_fit_table(fits)
     bad = [f for f in fits if not f.converged]

@@ -10,13 +10,22 @@ contribute their points inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Disc, ParameterError, PointPattern, Rect, RngStream, Window
+from .core import (
+    Disc,
+    ParameterError,
+    PointPattern,
+    Rect,
+    RngStream,
+    Window,
+    check_positive,
+)
 from .dpp import (
     DppSpectrum,
     GaussianDpp,
@@ -57,8 +66,7 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         for name in ("gamma", "alpha", "rho_Y"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            check_positive(name, getattr(self, name))
         if self.family.is_dpp:
             if self.beta is None:
                 raise ParameterError(f"{self.family.value} requires beta")
@@ -96,8 +104,9 @@ class Extension:
     margin: float
 
     def __post_init__(self):
-        if not self.margin >= 0:
-            raise ParameterError(f"margin must be >= 0, got {self.margin}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ParameterError(
+                f"margin must be finite and >= 0, got {self.margin}")
 
 
 def default_extension(m: ModelParams) -> Extension:

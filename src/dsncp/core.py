@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -36,6 +36,23 @@ class InsufficientPointsError(ParameterError):
     """An estimator was given fewer points than it needs."""
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is finite and
+    > 0."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_finite_fields(obj) -> None:
+    """Raise ParameterError naming the first field of ``obj`` that is not
+    finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"{type(obj).__name__} {f.name} must be finite, got {value}")
+
+
 class RejectionBoundError(RuntimeError):
     """A rejection-sampling dominating bound was exceeded.
 
@@ -58,6 +75,7 @@ class Rect:
     ymax: float
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ParameterError(
                 f"degenerate rectangle: [{self.xmin}, {self.xmax}] x "
@@ -129,6 +147,7 @@ class Disc:
     radius: float
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if not self.radius > 0:
             raise ParameterError(f"disc radius must be > 0, got {self.radius}")
 
@@ -189,6 +208,11 @@ class Disc:
 
 
 Window = Union[Rect, Disc]
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def read_json(path: str | Path):

@@ -46,6 +46,7 @@ from .core import (
     RejectionBoundError,
     RngStream,
     Window,
+    check_positive,
 )
 
 
@@ -55,7 +56,13 @@ class GaussianDpp:
     beta: float
 
     def __post_init__(self):
-        _check_positive(self.rho_Y, self.beta)
+        check_positive("rho_Y", self.rho_Y)
+        check_positive("beta", self.beta)
+
+    @property
+    def range_sq(self) -> float:
+        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2 / 2."""
+        return self.beta ** 2 / 2.0
 
 
 @dataclass(frozen=True)
@@ -64,23 +71,21 @@ class GinibreDpp:
     beta: float
 
     def __post_init__(self):
-        _check_positive(self.rho_Y, self.beta)
+        check_positive("rho_Y", self.rho_Y)
+        check_positive("beta", self.beta)
+
+    @property
+    def range_sq(self) -> float:
+        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2."""
+        return self.beta ** 2
 
 
 DppFamily = Union[GaussianDpp, GinibreDpp]
 
 
-def _check_positive(rho_Y: float, beta: float) -> None:
-    if not rho_Y > 0:
-        raise ParameterError(f"rho_Y must be > 0, got {rho_Y}")
-    if not beta > 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-
-
 def max_admissible_beta(rho_Y: float) -> float:
     """Largest kernel range at which a DPP with intensity rho_Y exists."""
-    if not rho_Y > 0:
-        raise ParameterError(f"rho_Y must be > 0, got {rho_Y}")
+    check_positive("rho_Y", rho_Y)
     return 1.0 / math.sqrt(math.pi * rho_Y)
 
 
@@ -91,8 +96,7 @@ def most_repulsive_intensity(beta: float) -> float:
     ``max_admissible_beta(result) >= beta``, lowering 1/(pi beta^2) by a
     few ulps when rounding would otherwise break the round trip.
     """
-    if not beta > 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
+    check_positive("beta", beta)
     rho = 1.0 / (math.pi * beta * beta)
     while 1.0 / math.sqrt(math.pi * rho) < beta:
         rho = float(np.nextafter(rho, 0.0))
@@ -116,19 +120,12 @@ def validate_dpp_params(family: DppFamily) -> None:
 
 
 def kernel_correlation_modulus_sq(family: DppFamily, y) -> np.ndarray | float:
-    """Squared modulus of the normalized kernel at lag ``y``.
-
-    Gaussian: exp(-2 ||y/beta||^2); Ginibre: exp(-|y/beta|^2). Accepts a
-    single lag vector or an array of them (last axis = coordinates).
+    """Squared modulus of the normalized kernel at lag ``y``:
+    exp(-|y|^2 / s^2), s^2 the family's ``range_sq``. Accepts a single lag
+    vector or an array of them (last axis = coordinates).
     """
     y = np.asarray(y, dtype=float)
-    sq = np.sum((y / family.beta) ** 2, axis=-1)
-    if isinstance(family, GaussianDpp):
-        out = np.exp(-2.0 * sq)
-    elif isinstance(family, GinibreDpp):
-        out = np.exp(-sq)
-    else:
-        raise ParameterError(f"unknown DPP family: {family!r}")
+    out = np.exp(-np.sum(y * y, axis=-1) / family.range_sq)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -198,11 +195,7 @@ class _GinibreBasis:
     def __init__(self, disc: Disc, nu: float, lam: float, log_p: np.ndarray):
         self.disc = disc
         self.coef = lam * math.pi / nu  # exp(-coef |u|^2 / 2) radial decay
-        m = log_p.size
-        if m == 0:
-            self.log_norms = np.zeros(0)
-            return
-        i = np.arange(1, m + 1, dtype=float)
+        i = np.arange(1, log_p.size + 1, dtype=float)
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[:-1]))))
         self.log_norms = (0.5 * math.log(lam)
                           + 0.5 * (i - 1.0) * math.log(lam * math.pi)
@@ -257,10 +250,6 @@ class DppSpectrum:
         if xi.size and not (np.all(xi > 0) and np.all(xi <= 1.0)):
             raise ParameterError("eigenvalues must lie in (0, 1]")
 
-    @property
-    def expected_count(self) -> float:
-        return float(self.eigenvalues.sum())
-
 
 def _poisson_survival(t: float) -> np.ndarray:
     """P(Poisson(t) >= i) for i = 1, 2, ..., far into the tail.
@@ -280,36 +269,21 @@ def _poisson_survival(t: float) -> np.ndarray:
     return s[1:]
 
 
-def ginibre_spectrum(p: GinibreParams, r: float, tol: float | None = None) -> DppSpectrum:
-    """Spectral decomposition of the (nu, lam) Ginibre kernel on b(0, r).
+def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
+    """Spectral decomposition of the (nu, lam) Ginibre kernel on b(0, r),
+    r > 0.
 
     Eigenvalues are nu * P(i, lam*pi*r^2/nu) for i = 1, 2, ..., truncated at
-    the first one below ``tol`` (default: 1e-12 of the leading eigenvalue).
-    The disc is centred at the origin; shift points externally if needed.
-
-    Parameters
-    ----------
-    p : GinibreParams
-    r : float
-        Disc radius, > 0.
-    tol : float, optional
-        Absolute truncation threshold for eigenvalues.
+    the first one below 1e-12 of the leading eigenvalue, which is always
+    kept. The disc is centred at the origin; shift points externally if
+    needed.
     """
-    if not r > 0:
-        raise ParameterError(f"disc radius must be > 0, got {r}")
-    if tol is not None and not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    disc = Disc(0.0, 0.0, r)
     t = p.lam * math.pi * r * r / p.nu
     surv = _poisson_survival(t)
     xi = p.nu * surv
-    tol_eff = tol if tol is not None else 1e-12 * xi[0]
-    keep = int(np.searchsorted(-xi, -tol_eff, side="right"))
+    keep = int(np.searchsorted(-xi, -1e-12 * xi[0], side="right"))
     expected = p.lam * math.pi * r * r
-    disc = Disc(0.0, 0.0, r)
-    if keep == 0:
-        return DppSpectrum(disc, np.zeros(0), _GinibreBasis(disc, p.nu, p.lam,
-                                                            np.zeros(0)),
-                           truncation_error=expected)
     xi = xi[:keep]
     log_p = np.log(surv[:keep])
     basis = _GinibreBasis(disc, p.nu, p.lam, log_p)
@@ -317,39 +291,36 @@ def ginibre_spectrum(p: GinibreParams, r: float, tol: float | None = None) -> Dp
                        truncation_error=expected - float(xi.sum()))
 
 
-def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect,
-                          tol: float | None = None) -> DppSpectrum:
+def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     """Fourier-basis spectral approximation of the Gaussian kernel on a
     rectangle.
 
     Eigenvalue at integer frequency k: rho_Y*pi*beta^2 *
     exp(-pi^2 beta^2 ||(k1/L1, k2/L2)||^2); eigenfunctions are the matching
-    complex exponentials. Frequencies with eigenvalue below ``tol``
-    (default 1e-12 of the leading one) are dropped and accounted for in
-    ``truncation_error``.
+    complex exponentials. Frequencies with eigenvalue below 1e-12 of the
+    leading one are dropped and accounted for in ``truncation_error``.
     """
     if not isinstance(rect, Rect):
         raise ParameterError("gaussian_dpp_spectrum needs a Rect domain")
-    if tol is not None and not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
     validate_dpp_params(family)
     rho, beta = family.rho_Y, family.beta
     l1, l2 = rect.side_lengths
     top = rho * math.pi * beta * beta
-    tol_eff = tol if tol is not None else 1e-12 * top
+    tol = 1e-12 * top
     expected = rho * rect.area
-    if tol_eff >= top:
+    if tol == 0.0:
+        # the leading eigenvalue underflows the cutoff: nothing to sample
         return DppSpectrum(rect, np.zeros(0),
                            _FourierBasis(rect, np.zeros((0, 2), dtype=int)),
                            truncation_error=expected)
     # xi >= tol  <=>  ||(k1/L1, k2/L2)|| <= sqrt(log(top/tol))/(pi beta)
-    reach = math.sqrt(math.log(top / tol_eff)) / (math.pi * beta)
+    reach = math.sqrt(math.log(top / tol)) / (math.pi * beta)
     k1 = np.arange(-math.ceil(reach * l1), math.ceil(reach * l1) + 1)
     k2 = np.arange(-math.ceil(reach * l2), math.ceil(reach * l2) + 1)
     e1 = (math.pi * beta / l1) ** 2 * k1 ** 2
     e2 = (math.pi * beta / l2) ** 2 * k2 ** 2
     xi = top * np.exp(-(e1[:, None] + e2[None, :]))
-    mask = xi >= tol_eff
+    mask = xi >= tol
     ii, jj = np.nonzero(mask)
     freqs = np.column_stack((k1[ii], k2[jj])).astype(int)
     vals = xi[mask]

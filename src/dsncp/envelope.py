@@ -10,7 +10,6 @@ reports a Monte Carlo p-value together with a global envelope.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .core import (
     RejectionBoundError,
     RngStream,
     read_json,
+    write_json,
 )
 from .dpp import max_admissible_beta
 from .fit import ContrastOptions, FitResult, min_contrast_fit
@@ -152,11 +152,7 @@ class EnvelopeResult:
                 "n_sim": self.n_sim, "statistic": self.statistic}
 
     def meta_to_json(self, path: str | Path) -> None:
-        _write_json(path, self.meta())
-
-
-def _write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+        write_json(path, self.meta())
 
 
 def _check_level(n_sim: int, level: float) -> None:
@@ -349,12 +345,6 @@ class StudyResult:
     rows: list[StudyRow]
     errors: list[dict]
 
-    def to_csv(self, path: str | Path) -> None:
-        _write_study_csv(path, [row.csv_line() for row in self.rows])
-
-    def errors_to_json(self, path: str | Path) -> None:
-        _write_json(path, self.errors)
-
 
 def _true_model(family: Family, gamma: float, alpha: float,
                 rho: float) -> ModelParams:
@@ -516,7 +506,7 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     lines = [have[k] for keys in keys_of_cell.values() for k in keys
              if k in have]
     _write_study_csv(out, lines)
-    _write_json(sidecar, errors)
+    write_json(sidecar, errors)
     return StudyResume(rows=len(lines), errors=len(errors),
                        cells_kept=len(cells) - len(todo), cells_run=len(todo),
                        errors_path=sidecar)

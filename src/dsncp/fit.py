@@ -10,10 +10,8 @@ count: gamma_hat = n / (|W| rho_Y_hat).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -124,9 +122,6 @@ class FitResult:
             "converged": self.converged,
             "options": self.options.to_dict(),
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":

@@ -1,23 +1,23 @@
 """Second-order and distance-based summaries, theoretical and empirical.
 
 Closed forms (pair correlation, Ripley's K, the pcf crossover radius) exist
-for all three cluster families. The empirical side provides a
-translation-corrected K estimator, an Epanechnikov-kernel pair correlation
-estimator, and border-corrected F/G/J estimators; these are the inputs to
-minimum-contrast fitting and envelope testing.
+for all three cluster families on the plane; the two DPP kernels enter them
+only through the range s^2 of their squared correlation exp(-|y|^2/s^2).
+The empirical side provides a translation-corrected K estimator, an
+Epanechnikov-kernel pair correlation estimator, and border-corrected F/G/J
+estimators; these are the inputs to minimum-contrast fitting and envelope
+testing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import gammainc
 
-from .cluster import Family, ModelParams
+from .cluster import ModelParams
 from .core import (
     InsufficientPointsError,
     ParameterError,
@@ -54,89 +54,54 @@ class SummaryCurve:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
 
-    def to_csv(self, path: str | Path) -> None:
-        np.savetxt(path, np.column_stack((self.r, self.values)),
-                   fmt="%.17g", delimiter=",", header="r,value", comments="")
+
+def default_grid(w: Window) -> np.ndarray:
+    """513 distances from 0 to a quarter of the shorter window side."""
+    return np.linspace(0.0, w.short_side / 4.0, 513)
 
 
-def default_grid(w: Window, size: int = 513) -> np.ndarray:
-    """r grid from 0 to a quarter of the shorter window side."""
-    return np.linspace(0.0, w.short_side / 4.0, size)
-
-
-def _gamma_cdf_vec(shape: float, x: np.ndarray) -> np.ndarray:
-    """Regularized lower incomplete gamma P(shape, x), vectorized over x."""
-    if shape == 1.0:
-        # d = 2: the closed form; gammainc(1, x) differs from it by ulps
-        return -np.expm1(-x)
-    return gammainc(shape, x)
-
-
-def pcf_theoretical(m: ModelParams, r, d: int = 2):
+def pcf_theoretical(m: ModelParams, r):
     """Pair correlation function of the model at distance(s) r.
 
-    The DSNCP pcf is 1 + (cluster term) - (DPP repulsion term); the Thomas
-    pcf has no repulsion term. Vectorized over r.
+    The Thomas pcf is 1 plus the cluster term; a DPP family subtracts the
+    repulsion term s^2/v * exp(-r^2/v), v = 4 alpha^2 + s^2, with s^2 the
+    kernel's ``range_sq``. Vectorized over r.
     """
     r = np.asarray(r, dtype=float)
     a2 = 4.0 * m.alpha ** 2
-    cluster = np.exp(-r * r / a2) / ((math.pi * a2) ** (d / 2) * m.rho_Y)
-    if m.family is Family.THOMAS:
-        out = 1.0 + cluster
-    elif m.family is Family.GAUSSIAN:
-        v = a2 + m.beta ** 2 / 2.0
-        out = 1.0 + cluster - (m.beta ** 2 / 2.0 / v) ** (d / 2) * np.exp(-r * r / v)
-    elif m.family is Family.GINIBRE:
-        if d != 2:
-            raise ParameterError("the Ginibre family is planar (d = 2) only")
-        v = a2 + m.beta ** 2
-        out = 1.0 + cluster - m.beta ** 2 / v * np.exp(-r * r / v)
-    else:
-        raise ParameterError(f"unknown family {m.family!r}")
+    out = 1.0 + np.exp(-r * r / a2) / (math.pi * a2 * m.rho_Y)
+    if m.family.is_dpp:
+        s2 = m.dpp_family().range_sq
+        v = a2 + s2
+        out = out - s2 / v * np.exp(-r * r / v)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def K_theoretical(m: ModelParams, r, d: int = 2):
-    """Ripley's K function of the model at distance(s) r. Vectorized."""
+def K_theoretical(m: ModelParams, r):
+    """Ripley's K function of the model at distance(s) r: the integral of
+    ``pcf_theoretical`` over the disc of radius r. Vectorized."""
     r = np.asarray(r, dtype=float)
     a2 = 4.0 * m.alpha ** 2
-    omega = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    ball = omega * r ** d
-    cluster = _gamma_cdf_vec(d / 2, r * r / a2) / m.rho_Y
-    if m.family is Family.THOMAS:
-        out = ball + cluster
-    elif m.family is Family.GAUSSIAN:
-        v = a2 + m.beta ** 2 / 2.0
-        out = ball + cluster \
-            - (math.pi * m.beta ** 2 / 2.0) ** (d / 2) * _gamma_cdf_vec(d / 2, r * r / v)
-    elif m.family is Family.GINIBRE:
-        if d != 2:
-            raise ParameterError("the Ginibre family is planar (d = 2) only")
-        v = a2 + m.beta ** 2
-        out = ball + cluster + math.pi * m.beta ** 2 * np.expm1(-r * r / v)
-    else:
-        raise ParameterError(f"unknown family {m.family!r}")
+    out = math.pi * r ** 2 - np.expm1(-r * r / a2) / m.rho_Y
+    if m.family.is_dpp:
+        s2 = m.dpp_family().range_sq
+        out = out + math.pi * s2 * np.expm1(-r * r / (a2 + s2))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pcf_crossover_radius(m: ModelParams, d: int = 2) -> float:
+def pcf_crossover_radius(m: ModelParams) -> float:
     """The radius r* where the DSNCP pcf crosses 1.
 
     Below r* the process looks clustered (g > 1), beyond it repulsive
     (g < 1). Thomas processes never cross (g > 1 everywhere).
     """
-    if m.family is Family.THOMAS:
+    if not m.family.is_dpp:
         raise ParameterError(
             "the Thomas pcf exceeds 1 everywhere; no crossover exists")
     a2 = 4.0 * m.alpha ** 2
-    if m.family is Family.GAUSSIAN:
-        v = a2 + m.beta ** 2 / 2.0
-        arg = m.rho_Y * (2.0 * math.pi * m.alpha ** 2 * m.beta ** 2 / v) ** (d / 2)
-    else:
-        if d != 2:
-            raise ParameterError("the Ginibre family is planar (d = 2) only")
-        v = a2 + m.beta ** 2
-        arg = m.rho_Y * 4.0 * math.pi * m.alpha ** 2 * m.beta ** 2 / v
+    s2 = m.dpp_family().range_sq
+    v = a2 + s2
+    arg = m.rho_Y * 4.0 * math.pi * m.alpha ** 2 * s2 / v
     if not 0.0 < arg < 1.0:
         raise ParameterError(
             f"degenerate parameters: crossover log argument {arg} not in (0,1)")

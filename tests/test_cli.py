@@ -242,6 +242,36 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
+    SIM = ["simulate", "--model", "thomas", "--alpha", 0.05, "--gamma", 6,
+           "--rhoY", 50, "--window", "rect:0,1,0,1"]
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (SIM + ["--alpha", "inf"], 3, "alpha must be finite"),
+        (SIM + ["--gamma", "inf"], 3, "gamma must be finite"),
+        (SIM + ["--rhoY", "inf"], 3, "rho_Y must be finite"),
+        (SIM[:5] + ["--rhoX", "inf", "--beta", 0.1, "--window",
+                    "rect:0,1,0,1"], 3, "gamma must be finite"),
+        (SIM[:5] + ["--rhoX", 100, "--beta", "inf", "--window",
+                    "rect:0,1,0,1"], 3, "beta must be finite"),
+        (SIM + ["--ext", "inf"], 3, "margin must be finite"),
+        (SIM + ["--window", "rect:0,1,0,inf"], 2, "ymax must be finite"),
+        (SIM + ["--window", "disc:0,0,inf"], 2, "radius must be finite"),
+        (["curves", "--model", "thomas", "--alpha", "inf", "--gamma", 2,
+          "--rhoY", 10, "--stat", "K"], 3, "alpha must be finite"),
+    ], ids=["alpha", "gamma", "rhoY", "rhoX", "beta", "ext", "rect", "disc",
+            "curves-alpha"])
+    def test_non_finite_input_is_refused(self, argv, code, message, tmp_path,
+                                         capsys):
+        # later flags override earlier ones, so each case swaps one value
+        out = tmp_path / "out.csv"
+        try:
+            rc = run_cli(argv + ["-o", out])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thomas_spectrum_dump_exits_3(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
                       "--gamma", 6, "--rhoY", 50, "--window", "rect:0,1,0,1",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from dsncp.core import (
     Disc,
@@ -13,7 +12,6 @@ from dsncp.core import (
     Rect,
     RngStream,
 )
-from dsncp.summaries import _gamma_cdf_vec
 
 
 class TestWindows:
@@ -33,6 +31,13 @@ class TestWindows:
             Rect(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ParameterError):
             Disc(0.0, 0.0, 0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match="must be finite"):
+                Rect(0.0, 1.0, 0.0, bad)
+            with pytest.raises(ParameterError, match="must be finite"):
+                Disc(bad, 0.0, 1.0)
+            with pytest.raises(ParameterError):
+                Disc(0.0, 0.0, bad)
 
     def test_grow(self):
         w = Rect(0.0, 1.0, 0.0, 1.0).grow(0.5)
@@ -193,45 +198,3 @@ class TestRngStream:
         with pytest.raises(ParameterError):
             RngStream(1, 0).substream(-1)
 
-
-class TestRegularizedGammaCdf:
-    """The regularized lower incomplete gamma P(a, x) behind K_theoretical:
-    the closed form at a = 1 (d = 2) and scipy's gammainc elsewhere."""
-
-    def test_frozen_hand_values(self):
-        # P(1, x) = 1 - exp(-x)
-        assert _gamma_cdf_vec(1.0, 1.0) == pytest.approx(
-            1.0 - math.exp(-1.0), abs=1e-14)
-        # P(1/2, x) = erf(sqrt(x))
-        assert _gamma_cdf_vec(0.5, 2.0) == pytest.approx(
-            math.erf(math.sqrt(2.0)), abs=1e-13)
-        # P(2, x) = 1 - (1 + x) exp(-x)
-        assert _gamma_cdf_vec(2.0, 3.0) == pytest.approx(
-            1.0 - 4.0 * math.exp(-3.0), abs=1e-14)
-        assert _gamma_cdf_vec(3.0, 0.0) == 0.0
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    @pytest.mark.filterwarnings(
-        "ignore::scipy.integrate.IntegrationWarning")
-    def test_quadrature_oracle(self):
-        # direct numerical integral of the density, independent code path;
-        # quad is pushed to its roundoff floor, hence the filtered warning
-        for a in (0.5, 1.0, 1.5, 2.5, 7.0, 30.0, 200.5):
-            xs = np.array([0.01, 0.5, a, a + 1.0, 3.0 * a + 10.0])
-            got = _gamma_cdf_vec(a, xs)
-            for x, g in zip(xs, got):
-                val, err = integrate.quad(
-                    lambda t: math.exp((a - 1.0) * math.log(t) - t
-                                       - math.lgamma(a)),
-                    0.0, x, limit=400, epsabs=1e-14, epsrel=1e-14)
-                assert err < 1e-12
-                assert g == pytest.approx(val, abs=1e-12), (a, x)
-
-    def test_extreme_tails(self):
-        assert _gamma_cdf_vec(10.0, 1e-8) == pytest.approx(0.0, abs=1e-12)
-        assert _gamma_cdf_vec(10.0, 500.0) == pytest.approx(1.0, abs=1e-14)
-        assert _gamma_cdf_vec(1e6, 2e6) == pytest.approx(1.0, abs=1e-10)
-
-    def test_monotone_in_x(self):
-        vals = _gamma_cdf_vec(3.7, np.linspace(0.0, 30.0, 400))
-        assert np.all(np.diff(vals) >= 0)

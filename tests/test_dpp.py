@@ -103,6 +103,10 @@ class TestKernelCorrelation:
                 rhs = 1.0 - kernel_correlation_modulus_sq(fam, u - v)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_range_sq(self):
+        assert GaussianDpp(0.01, 0.3).range_sq == 0.3 ** 2 / 2.0
+        assert GinibreDpp(0.01, 0.3).range_sq == 0.3 ** 2
+
     def test_vectorized_lags(self):
         fam = GaussianDpp(1.0, 0.5)
         lags = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
@@ -120,7 +124,7 @@ class TestGinibreSpectrum:
 
     def test_eigenvalue_sum_is_expected_count(self):
         spec = ginibre_spectrum(GinibreParams(1.0, 1 / math.pi), r=5.0)
-        assert spec.expected_count == pytest.approx(25.0, abs=1e-9)
+        assert spec.eigenvalues.sum() == pytest.approx(25.0, abs=1e-9)
         assert 0 <= spec.truncation_error < 1e-9
 
     def test_eigenvalues_decreasing_and_bounded(self):
@@ -141,14 +145,17 @@ class TestGinibreSpectrum:
                 p.nu * gammainc(float(i), t), rel=1e-10), i
 
     def test_truncation_threshold_respected(self):
+        # the cutoff is 1e-12 of the leading eigenvalue: the first dropped
+        # one, nu * P(m + 1, t), falls below it and the last kept does not
         p = GinibreParams(1.0, 1 / math.pi)
-        tight = ginibre_spectrum(p, r=3.0, tol=1e-3)
-        loose = ginibre_spectrum(p, r=3.0, tol=1e-9)
-        assert len(tight.eigenvalues) < len(loose.eigenvalues)
-        assert np.all(tight.eigenvalues >= 1e-3)
-        assert tight.truncation_error > loose.truncation_error
-        with pytest.raises(ParameterError):
-            ginibre_spectrum(p, r=3.0, tol=0.0)
+        r = 3.0
+        spec = ginibre_spectrum(p, r)
+        xi = spec.eigenvalues
+        m = len(xi)
+        assert xi[-1] >= 1e-12 * xi[0]
+        assert p.nu * gammainc(float(m + 1), r * r) < 1e-12 * xi[0]
+        assert spec.truncation_error == pytest.approx(r * r - xi.sum(),
+                                                      abs=1e-12)
         with pytest.raises(ParameterError):
             ginibre_spectrum(p, r=-1.0)
 
@@ -189,8 +196,8 @@ class TestGinibreSpectrum:
         p = GinibreParams(1.0, 50.0)
         spec = ginibre_spectrum(p, r=1.5)
         assert len(spec.eigenvalues) > 300
-        assert spec.expected_count == pytest.approx(50 * math.pi * 1.5 ** 2,
-                                                    abs=1e-6)
+        assert spec.eigenvalues.sum() == pytest.approx(
+            50 * math.pi * 1.5 ** 2, abs=1e-6)
         val = spec.basis.matrix(np.array([[0.7, 0.2]]), np.array([250]))[0, 0]
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
@@ -205,9 +212,9 @@ class TestGaussianSpectrum:
     def test_eigenvalue_sum_matches_expected_count(self):
         rect = Rect(0.0, 20.0, 0.0, 20.0)
         spec = gaussian_dpp_spectrum(GaussianDpp(1 / (4 * math.pi), 2.0), rect)
-        assert spec.expected_count == pytest.approx(400 / (4 * math.pi),
-                                                    rel=1e-9)
-        assert spec.expected_count == pytest.approx(31.831, abs=1e-3)
+        assert spec.eigenvalues.sum() == pytest.approx(400 / (4 * math.pi),
+                                                       rel=1e-9)
+        assert spec.eigenvalues.sum() == pytest.approx(31.831, abs=1e-3)
         assert 0 <= spec.truncation_error < 1e-8
 
     def test_explicit_eigenvalue_formula(self):
@@ -227,7 +234,7 @@ class TestGaussianSpectrum:
         spec = gaussian_dpp_spectrum(GaussianDpp(10.0, 0.01), rect)
         top = 10 * math.pi * 1e-4
         assert spec.eigenvalues[0] == pytest.approx(top, rel=1e-12)
-        assert spec.expected_count == pytest.approx(10.0, rel=1e-9)
+        assert spec.eigenvalues.sum() == pytest.approx(10.0, rel=1e-9)
 
     def test_existence_violation_propagates(self):
         with pytest.raises(ExistenceError):
@@ -252,12 +259,15 @@ def _count_moments(spec: DppSpectrum, reps: int, seed: int):
 
 class TestSampler:
     def test_empty_spectrum_gives_empty_pattern(self):
+        # rho_Y * pi * beta^2 underflows to 0, or to a subnormal whose
+        # 1e-12 cutoff underflows to 0: no eigenvalue is kept
         rect = Rect(0.0, 1.0, 0.0, 1.0)
-        spec = gaussian_dpp_spectrum(GaussianDpp(1e-6, 0.001), rect, tol=1.0)
-        assert len(spec.eigenvalues) == 0
-        p = sample_dpp(spec, RngStream(0, 0))
-        assert p.n == 0
-        assert p.window is rect
+        for beta in (1e-20, 1.5e-12):
+            spec = gaussian_dpp_spectrum(GaussianDpp(1e-300, beta), rect)
+            assert len(spec.eigenvalues) == 0
+            p = sample_dpp(spec, RngStream(0, 0))
+            assert p.n == 0
+            assert p.window is rect
 
     def test_determinism(self):
         spec = ginibre_spectrum(GinibreParams(1.0, 1 / math.pi), r=4.0)

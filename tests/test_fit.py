@@ -24,6 +24,8 @@ from dsncp.core import (
     PointPattern,
     Rect,
     RngStream,
+    read_json,
+    write_json,
 )
 from dsncp.dpp import most_repulsive_intensity
 from dsncp.fit import (
@@ -242,9 +244,8 @@ class TestOptimizer:
         p = self.simulated()
         fit = min_contrast_fit(p, "thomas")
         path = tmp_path / "fit.json"
-        fit.to_json(path)
-        import json
-        loaded = FitResult.from_dict(json.loads(path.read_text()))
+        write_json(path, fit.to_dict())
+        loaded = FitResult.from_dict(read_json(path))
         assert loaded == fit
         m = loaded.model()
         assert m.family is Family.THOMAS and m.alpha == fit.alpha

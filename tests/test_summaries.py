@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dsncp.cli import _curve_csv_text
 from dsncp.cluster import Family, ModelParams
 from dsncp.core import (
     Disc,
@@ -25,6 +26,7 @@ from dsncp.core import (
     Rect,
     RngStream,
 )
+from dsncp.dpp import max_admissible_beta
 from dsncp.summaries import (
     F_hat,
     G_hat,
@@ -69,10 +71,10 @@ def ordered_pair_sum(pts, w, kernel):
     return total
 
 
-def q_density(r, alpha, d=2):
+def q_density(r, alpha):
     """k_alpha convolved with its reflection: N(0, 2 alpha^2 I) density."""
     s2 = 2.0 * alpha ** 2
-    return math.exp(-r * r / (2.0 * s2)) / (2.0 * math.pi * s2) ** (d / 2)
+    return math.exp(-r * r / (2.0 * s2)) / (2.0 * math.pi * s2)
 
 
 def kernel_R(y, family, beta):
@@ -240,41 +242,26 @@ class TestClosedForms:
             got = pcf_theoretical(m, r)
             assert np.all(np.abs(got - want) <= 1e-6)
 
-    def test_three_dimensional_consistency(self):
-        # in d=3 the within-cluster term separates into 1-D convolutions,
-        # so the pcf can be checked coordinatewise and K by radial quadrature
-        m = ModelParams(family="gaussian-dpp-thomas", gamma=1.0, alpha=0.6,
-                        rho_Y=0.02, beta=1.5)
-
-        def conv1(r, s2a, s2b):
-            f = lambda t: (math.exp(-t * t / (2 * s2a)) / math.sqrt(2 * math.pi * s2a)
-                           * math.exp(-(r - t) ** 2 / (2 * s2b))
-                           / math.sqrt(2 * math.pi * s2b))
-            val, _ = integrate.quad(f, -30, 30, epsabs=1e-13, limit=300)
-            return val
-
-        for r in (0.4, 1.1, 2.6):
-            conv = conv1(r, 2 * m.alpha ** 2, m.beta ** 2 / 4) \
-                * conv1(0.0, 2 * m.alpha ** 2, m.beta ** 2 / 4) ** 2 \
-                * (math.pi * m.beta ** 2 / 2) ** 1.5
-            want = 1.0 + q_density(r, m.alpha, d=3) / m.rho_Y - conv
-            assert abs(pcf_theoretical(m, r, d=3) - want) < 1e-9
-        for r in (0.8, 2.0):
-            want, err = integrate.quad(
-                lambda s: 4.0 * math.pi * s * s * pcf_theoretical(m, s, d=3),
-                0.0, r, epsabs=1e-12, limit=200)
-            assert abs(K_theoretical(m, r, d=3) - want) <= 1e-9 * abs(want)
-        rstar = pcf_crossover_radius(m, d=3)
-        assert abs(pcf_theoretical(m, rstar, d=3) - 1.0) < 1e-12
-
-    def test_ginibre_rejects_other_dimensions(self):
-        m = ModelParams(family="ginibre-dpp-thomas", gamma=1.0, alpha=1.0,
-                        rho_Y=1.0 / (4.0 * math.pi), beta=2.0)
+    @settings(max_examples=200, deadline=None)
+    @given(log_rho=st.floats(-2.0, 3.0), fill=st.floats(0.05, 1.0),
+           ratio=st.floats(0.01, 10.0))
+    def test_kernels_of_equal_range_share_the_closed_forms(self, log_rho,
+                                                           fill, ratio):
+        # Gaussian beta and Ginibre beta/sqrt(2) have the same |C|^2, so
+        # the same pcf, K and crossover radius
+        rho = 10.0 ** log_rho
+        beta = fill * max_admissible_beta(rho)
+        alpha = ratio * beta
+        gau = ModelParams(family="gaussian-dpp-thomas", gamma=2.0,
+                          alpha=alpha, rho_Y=rho, beta=beta)
+        gin = ModelParams(family="ginibre-dpp-thomas", gamma=2.0,
+                          alpha=alpha, rho_Y=rho, beta=beta / math.sqrt(2.0))
+        r = np.linspace(0.0, 5.0 * (alpha + beta), 65)
         for fn in (pcf_theoretical, K_theoretical):
-            with pytest.raises(ParameterError):
-                fn(m, 1.0, d=3)
-        with pytest.raises(ParameterError):
-            pcf_crossover_radius(m, d=3)
+            np.testing.assert_allclose(fn(gau, r), fn(gin, r), rtol=1e-12,
+                                       atol=0.0)
+        assert pcf_crossover_radius(gau) == pytest.approx(
+            pcf_crossover_radius(gin), rel=1e-12)
 
 
 class TestSummaryCurve:
@@ -289,10 +276,11 @@ class TestSummaryCurve:
             SummaryCurve(np.array([0.0, 0.5]), np.zeros(2), "K", "exact")
 
     def test_csv_round_trip(self, tmp_path):
+        # curves leave the package through the CLI's r,value writer
         c = SummaryCurve(np.array([0.0, 0.1, 0.2]),
                          np.array([0.0, 1.0 / 3.0, math.pi]), "K", "empirical")
         path = tmp_path / "curve.csv"
-        c.to_csv(path)
+        path.write_text(_curve_csv_text(c.r, c.values))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data[0, 0] == 0.0
         assert data[1, 1] == 1.0 / 3.0
