@@ -81,9 +81,9 @@ def _parse_grid(text: str) -> np.ndarray:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be START:STOP:COUNT, got {text!r}") from None
-    if count < 1 or not 0.0 <= start <= stop:
+    if count < 1 or not 0.0 <= start <= stop < math.inf:
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 <= START <= STOP and COUNT >= 1, got {text!r}")
+            f"grid needs finite 0 <= START <= STOP and COUNT >= 1, got {text!r}")
     return np.linspace(start, stop, count)
 
 

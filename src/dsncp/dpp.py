@@ -18,15 +18,16 @@ j-th from the residual density ||v(x)||^2 - sum_{l<j} |<v(x), e_l>|^2
 already drawn), by exact rejection against the uniform law.
 
 The rejection step keeps a pool of pending proposals. Uniform proposals
-are drawn in batches, each projected once against the frame e_0, ...,
-e_{j-1} built so far; when a point is accepted, its row joins the frame and
-every pending residual drops by |<v, e_j>|^2, so a pending residual is
-always the current step's. A proposal leaves the pool when it is tested,
-whether accepted or not, and the proposals still untested are i.i.d.
-uniform and independent of every point and uniform drawn so far. Testing
-them at a later step is therefore the same rejection sampler as testing
-fresh ones, and the output law is exact. A draw costs O(k^2) per tested
-proposal instead of a fresh batch and a full re-projection at every step.
+are drawn in batches sized for about four acceptances, each projected once
+against the frame e_0, ..., e_{j-1} built so far; when a point is accepted,
+its row joins the frame and every pending residual drops by |<v, e_j>|^2,
+so a pending residual is always the current step's. A proposal leaves the
+pool when it is tested, whether accepted or not, and the proposals still
+untested are i.i.d. uniform and independent of every point and uniform
+drawn so far. Testing them at a later step is therefore the same rejection
+sampler as testing fresh ones, and the output law is exact: the batch size
+moves the random stream, not the law. A draw costs O(k^2) per tested
+proposal; the rows v are computed separably (Fourier) or in one pass.
 """
 
 from __future__ import annotations
@@ -173,11 +174,21 @@ class _FourierBasis:
         self._origin = np.array([rect.xmin, rect.ymin])
         self._amp = 1.0 / math.sqrt(rect.area)
 
-    def matrix(self, points: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        f = self.freqs if idx is None else self.freqs[idx]
-        rel = (np.asarray(points, dtype=float) - self._origin) * self._inv_sides
-        phase = 2.0 * math.pi * (rel @ f.T)
-        return self._amp * np.exp(1j * phase)
+    def matrix(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self.rows(idx)(points)
+
+    def rows(self, idx: np.ndarray):
+        """Points -> rows of the selection ``idx``: exp(2 pi i k1 x') times
+        exp(2 pi i k2 y'), from tables over its distinct frequencies."""
+        fx, ix = np.unique(self.freqs[idx, 0], return_inverse=True)
+        fy, iy = np.unique(self.freqs[idx, 1], return_inverse=True)
+
+        def build(points: np.ndarray) -> np.ndarray:
+            rel = (np.asarray(points, dtype=float) - self._origin) * self._inv_sides
+            out = (self._amp * np.exp(2j * math.pi * rel[:, :1] * fx))[:, ix]
+            out *= np.exp(2j * math.pi * rel[:, 1:] * fy)[:, iy]
+            return out
+        return build
 
     def sup_sq_bound(self, idx: np.ndarray) -> float:
         # each |phi|^2 is exactly 1/area, so the sup is exact
@@ -203,31 +214,32 @@ class _GinibreBasis:
                           - 0.5 * i * math.log(nu)
                           - 0.5 * log_p)
 
-    def _log_radial_sq(self, r2: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """log |phi_i|^2 at squared radii r2, for the selected indices."""
-        k = idx.astype(float)  # powers i-1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr = 0.5 * np.log(r2)
-            pw = logr[:, None] * k[None, :]
-        # 0 * (-inf) at the origin for i=1; the power term is exactly 0 there
-        pw = np.where(np.isnan(pw), 0.0, pw)
-        return 2.0 * (self.log_norms[idx] + pw) - self.coef * r2[:, None]
+    def matrix(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self.rows(idx)(points)
 
-    def matrix(self, points: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        if idx is None:
-            idx = np.arange(self.log_norms.size)
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        z = (pts[:, 0] - self.disc.cx) + 1j * (pts[:, 1] - self.disc.cy)
-        r2 = (z * z.conj()).real
-        log_mod = 0.5 * self._log_radial_sq(r2, idx)
-        phase = np.angle(z)[:, None] * idx.astype(float)[None, :]
-        return np.exp(log_mod + 1j * phase)
+    def rows(self, idx: np.ndarray):
+        """Points -> rows of ``idx``: exp(i log z + log_norm_i - coef |z|^2 / 2)."""
+        log_norm = self.log_norms[idx]
+
+        def build(points: np.ndarray) -> np.ndarray:
+            pts = np.asarray(points, dtype=float).reshape(-1, 2)
+            z = (pts[:, 0] - self.disc.cx) + 1j * (pts[:, 1] - self.disc.cy)
+            with np.errstate(divide="ignore", invalid="ignore"):  # z = 0: see below
+                expo = np.log(z)[:, None] * idx
+            expo += log_norm - 0.5 * self.coef * (z * z.conj()).real[:, None]
+            out = np.exp(expo, out=expo)
+            out[z == 0] = np.where(idx == 0, math.exp(self.log_norms[0]), 0.0)
+            return out
+        return build
 
     def sup_sq_bound(self, idx: np.ndarray) -> float:
-        # sum_i |phi_i(u)|^2 is radial; maximize on a fine radial grid
-        s = np.linspace(0.0, self.disc.radius, 4097)
-        total = np.exp(self._log_radial_sq(s * s, idx)).sum(axis=1)
-        return float(total.max())
+        # radial sum_i |phi_i|^2, maximized on 4097 radii; at 0 only i = 0 counts
+        s = np.linspace(0.0, self.disc.radius, 4097)[1:]
+        total = np.log(s)[:, None] * (2.0 * idx)
+        total += 2.0 * self.log_norms[idx]
+        total -= (self.coef * s * s)[:, None]
+        centre = math.exp(2.0 * self.log_norms[0]) if (idx == 0).any() else 0.0
+        return max(float(np.exp(total, out=total).sum(axis=1).max()), centre)
 
 
 @dataclass(frozen=True)
@@ -336,13 +348,11 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
 
     Eigen-indices are kept independently with probability xi_i, drawn
     first from ``rng``; the kept projection kernel of rank k is then
-    sampled point by point from residual densities via exact rejection
-    against the uniform law, with the dominating bound a fine-grid maximum
-    of the total eigenfunction mass times a 1.1 safety factor. Proposals
-    come in batches sized for about one acceptance at the current step
-    (at most 4096); those not yet tested stay pending, with their residual
-    densities lowered as each accepted point joins the orthonormal frame,
-    and are tested at later steps, which keeps the law exact (see the
+    sampled point by point by exact rejection against the uniform law,
+    bounded by a fine-grid maximum of the total eigenfunction mass times
+    1.1. Proposals come in batches sized for about four acceptances (at
+    most 4096), their basis rows computed separably (Fourier) or in one
+    pass (Ginibre), and untested ones stay pending across steps (see the
     module docstring). A fresh batch whose residual exceeds the bound
     aborts the draw and restarts it with 1.5 times the observed value, up
     to four tries, so the output law is never truncated.
@@ -370,7 +380,7 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
 def _sample_projection(spec: DppSpectrum, idx: np.ndarray, bound: float,
                        gen: np.random.Generator) -> np.ndarray:
     k = idx.size
-    basis = spec.basis
+    rows = spec.basis.rows(idx)
     domain = spec.domain
     frame = np.zeros((k, k), dtype=complex)  # rows e_0, ..., e_{j-1}
     pts = np.empty((k, 2))
@@ -381,11 +391,11 @@ def _sample_projection(spec: DppSpectrum, idx: np.ndarray, bound: float,
     for j in range(k):
         while True:
             if not pool_r.size:
-                # about one acceptance expected: the residual integrates
+                # about four acceptances expected: the residual integrates
                 # to k - j against a uniform proposal of mass bound * |D|
-                size = min(math.ceil(bound * domain.area / (k - j)), 4096)
+                size = min(math.ceil(4 * bound * domain.area / (k - j)), 4096)
                 pool_x = domain.sample_uniform(size, gen)
-                pool_v = basis.matrix(pool_x, idx)
+                pool_v = rows(pool_x)
                 pool_r = np.einsum("ij,ij->i", pool_v.real, pool_v.real) \
                     + np.einsum("ij,ij->i", pool_v.imag, pool_v.imag)
                 if j:

@@ -42,21 +42,21 @@ class ContrastOptions:
     max_iter: int = 600
 
     def __post_init__(self):
-        if not 0.0 <= self.r_min < self.r_max:
-            raise ParameterError(
-                f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if not self.q > 0:
-            raise ParameterError(f"q must be > 0, got {self.q}")
-        if not self.p >= 1:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
+        if not 0.0 <= self.r_min < self.r_max < math.inf:
+            raise ParameterError("need finite 0 <= r_min < r_max, got "
+                                 f"[{self.r_min}, {self.r_max}]")
+        if not 0 < self.q < math.inf:
+            raise ParameterError(f"q must be finite and > 0, got {self.q}")
+        if not 1 <= self.p < math.inf:
+            raise ParameterError(f"p must be finite and >= 1, got {self.p}")
         if self.grid_size < 64:
             raise ParameterError(f"grid_size must be >= 64, got {self.grid_size}")
         for name in ("alpha_bounds", "beta_bounds", "rho_bounds"):
             b = getattr(self, name)
             if b is None:
                 continue
-            if len(b) != 2 or not 0 < b[0] < b[1]:
-                raise ParameterError(f"{name} must satisfy 0 < lo < hi, got {b}")
+            if len(b) != 2 or not 0 < b[0] < b[1] < math.inf:
+                raise ParameterError(f"{name} needs finite 0 < lo < hi, got {b}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -391,6 +391,34 @@ class TestFit:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flags,code,message", [
+    (["curves", "--model", "thomas", "--alpha", 0.03, "--gamma", 2,
+      "--rhoY", 10, "--stat", "K", "--r", "0:inf:3"], 2,
+     "grid needs finite"),
+    (["curves", "--model", "thomas", "--alpha", 0.03, "--gamma", 2,
+      "--rhoY", 10, "--stat", "K", "--r", "inf:inf:3"], 2,
+     "grid needs finite"),
+    (["fit", "--r-max", "inf"], 3, "need finite 0 <= r_min < r_max"),
+    (["fit", "--r-min", "inf"], 3, "need finite 0 <= r_min < r_max"),
+    (["fit", "--q", "inf"], 3, "q must be finite"),
+    (["fit", "--p", "inf"], 3, "p must be finite"),
+], ids=["curves-stop", "curves-start", "r-max", "r-min", "q", "p"])
+def test_non_finite_distance_flag_is_refused(flags, code, message,
+                                             pattern_csv, tmp_path, capsys):
+    # a grid or contrast range reaching inf is refused before any work
+    if flags[0] == "fit":
+        flags = ["fit", "--data", pattern_csv, "--window", "rect:0,1,0,1",
+                 "--family", "thomas"] + flags[1:]
+    out = tmp_path / "out"
+    try:
+        rc = run_cli(flags + ["-o", out])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fit_json(pattern_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-env") / "fits.json"

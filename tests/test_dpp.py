@@ -404,6 +404,122 @@ class TestProjectionSampler:
         assert t2 <= 27.86, (t2, z)
 
 
+def _fourier_direct(basis, pts, idx):
+    """exp(2 pi i (k1 (x - x0) / L1 + k2 (y - y0) / L2)) / sqrt(|D|)."""
+    rect = basis.rect
+    l1, l2 = rect.side_lengths
+    f = basis.freqs[idx]
+    phase = ((pts[:, :1] - rect.xmin) / l1 * f[:, 0]
+             + (pts[:, 1:] - rect.ymin) / l2 * f[:, 1])
+    return np.exp(2j * math.pi * phase) / math.sqrt(rect.area)
+
+
+def _ginibre_direct(basis, pts, idx):
+    """norm_i * exp(-coef |u|^2 / 2) * u^i, one entry at a time."""
+    out = np.empty((len(pts), len(idx)), dtype=complex)
+    for a, (x, y) in enumerate(pts):
+        u = complex(x - basis.disc.cx, y - basis.disc.cy)
+        for b, i in enumerate(idx):
+            out[a, b] = (math.exp(basis.log_norms[i] - basis.coef * abs(u) ** 2 / 2)
+                         * u ** int(i))
+    return out
+
+
+def _rel_err(got, want):
+    """Largest entrywise relative error; zeros must match exactly."""
+    nz = want != 0
+    assert np.array_equal(got[~nz], want[~nz])
+    return float(np.max(np.abs(got - want)[nz] / np.abs(want)[nz]))
+
+
+class TestBasisRows:
+    """The sampler's rows against the formulas written out entry by entry."""
+
+    def _selections(self, m, seed):
+        rng = np.random.default_rng(seed)
+        yield np.arange(m)
+        for _ in range(3):
+            yield np.flatnonzero(rng.random(m) < 0.4)
+
+    @pytest.mark.parametrize("rect,rho,beta", [
+        (Rect(0.0, 1.0, 0.0, 1.0), 105.36, 0.05),
+        (Rect(-3.0, 9.0, 2.0, 10.0), 0.05, 1.2),
+    ])
+    def test_fourier_rows(self, rect, rho, beta):
+        # any double evaluation of exp(i phase) is off by about 1e-16 |phase|;
+        # both spectra keep |phase| below 2 pi * 70
+        spec = gaussian_dpp_spectrum(GaussianDpp(rho, beta), rect)
+        pts = rect.sample_uniform(60, np.random.default_rng(1))
+        pts = np.vstack((pts, [[rect.xmin, rect.ymin], [rect.xmax, rect.ymax]]))
+        for idx in self._selections(spec.eigenvalues.size, 2):
+            got = spec.basis.matrix(pts, idx)
+            assert _rel_err(got, _fourier_direct(spec.basis, pts, idx)) <= 1e-13
+
+    @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
+                                          (0.6, 20.0, 1.0)])
+    def test_ginibre_rows(self, nu, lam, r):
+        spec = ginibre_spectrum(GinibreParams(nu, lam), r)
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 60)
+        rad = r * np.sqrt(rng.random(60))
+        pts = np.column_stack((rad * np.cos(theta), rad * np.sin(theta)))
+        # the disc centre, where only i = 0 is non-zero, and the rim
+        pts = np.vstack((pts, [[0.0, 0.0], [r * math.cos(2.0), r * math.sin(2.0)],
+                               [-r, 0.0]]))
+        for idx in self._selections(spec.eigenvalues.size, 5):
+            got = spec.basis.matrix(pts, idx)
+            assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
+        centre = spec.basis.matrix(np.zeros((1, 2)), np.arange(3))[0]
+        assert centre[0] == math.exp(spec.basis.log_norms[0])
+        assert np.all(centre[1:] == 0)
+
+    def test_ginibre_index_250(self):
+        spec = ginibre_spectrum(GinibreParams(1.0, 50.0), r=1.5)
+        pts = np.array([[0.7, 0.2], [1.5, 0.0], [-0.3, 1.1], [0.0, 0.0]])
+        idx = np.array([250])
+        got = spec.basis.matrix(pts, idx)
+        assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
+
+    @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
+                                          (0.6, 20.0, 1.0)])
+    def test_ginibre_bound_is_the_grid_maximum(self, nu, lam, r):
+        spec = ginibre_spectrum(GinibreParams(nu, lam), r)
+        basis, m = spec.basis, spec.eigenvalues.size
+        s = np.linspace(0.0, r, 4097)[:, None]
+        rng = np.random.default_rng(6)
+        for idx in (np.arange(m), np.arange(1, m),
+                    np.flatnonzero(rng.random(m) < 0.4),
+                    np.array([0, 3]), np.array([m - 1])):
+            mass = (np.exp(2.0 * basis.log_norms[idx] - basis.coef * s * s)
+                    * s ** (2 * idx)).sum(axis=1)
+            assert basis.sup_sq_bound(idx) == pytest.approx(mass.max(),
+                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "ginibre"])
+    def test_interleaved_draws_repeat(self, family):
+        # nothing built for one selection may serve another: seed A, then
+        # seed B (another selection of the same size, whose arrays may land
+        # where A's were freed), then A again, all from one spectrum, must
+        # each equal the draw from a freshly built spectrum
+        def build():
+            if family == "gaussian":
+                return gaussian_dpp_spectrum(GaussianDpp(105.36, 0.05),
+                                             Rect(0.0, 1.0, 0.0, 1.0))
+            return ginibre_spectrum(GinibreParams(1.0, 35.32), r=0.8)
+
+        spec = build()
+        a = _selection(spec, RngStream(1, 0))
+        b = next(seed for seed in range(2, 500)
+                 if (sel := _selection(spec, RngStream(seed, 0))).size == a.size
+                 and not np.array_equal(sel, a))
+        fresh = {seed: sample_dpp(build(), RngStream(seed, 0)).points.tobytes()
+                 for seed in (1, b)}
+        assert fresh[1] != fresh[b]
+        draws = [sample_dpp(spec, RngStream(seed, 0)).points.tobytes()
+                 for seed in (1, b, 1)]
+        assert draws == [fresh[1], fresh[b], fresh[1]]
+
+
 class TestRejectionBound:
     def test_bound_below_density_raises_with_observed(self):
         rect = Rect(0.0, 2.0, 0.0, 1.0)

@@ -77,6 +77,15 @@ class TestContrastOptions:
         with pytest.raises(ParameterError):
             ContrastOptions(r_min=0.0, r_max=1.0, alpha_bounds=(0.5, 0.1))
 
+    @pytest.mark.parametrize("field,value", [
+        ("r_min", math.inf), ("r_max", math.inf), ("r_max", math.nan),
+        ("q", math.inf), ("p", math.inf), ("alpha_bounds", (0.1, math.inf)),
+        ("beta_bounds", (0.1, math.inf)), ("rho_bounds", (1.0, math.inf)),
+        ("rho_bounds", (math.nan, 1.0))])
+    def test_non_finite_field_is_refused(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            ContrastOptions(**{"r_min": 0.0, "r_max": 1.0, field: value})
+
     def test_dict_round_trip(self):
         o = ContrastOptions(r_min=0.1, r_max=2.0, alpha_bounds=(0.01, 1.0))
         assert ContrastOptions.from_dict(o.to_dict()) == o
