@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import gammaln
 
 from .core import (
     Disc,
@@ -207,10 +208,9 @@ class _GinibreBasis:
         self.disc = disc
         self.coef = lam * math.pi / nu  # exp(-coef |u|^2 / 2) radial decay
         i = np.arange(1, log_p.size + 1, dtype=float)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[:-1]))))
         self.log_norms = (0.5 * math.log(lam)
                           + 0.5 * (i - 1.0) * math.log(lam * math.pi)
-                          - 0.5 * log_fact
+                          - 0.5 * gammaln(i)  # log (i - 1)!
                           - 0.5 * i * math.log(nu)
                           - 0.5 * log_p)
 
@@ -272,9 +272,8 @@ def _poisson_survival(t: float) -> np.ndarray:
     """
     j_max = int(t + 15.0 * math.sqrt(t) + 60.0)
     j = np.arange(j_max + 1, dtype=float)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
     with np.errstate(divide="ignore"):
-        log_pmf = j * math.log(t) - t - log_fact
+        log_pmf = j * math.log(t) - t - gammaln(j + 1.0)
     pmf = np.exp(log_pmf)
     # survival S[i] = sum_{j >= i} pmf_j; summing tail-first is stable
     s = np.cumsum(pmf[::-1])[::-1]

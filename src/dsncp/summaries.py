@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -187,18 +189,89 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
     return SummaryCurve(grid, vals, "pcf", "empirical")
 
 
-def _test_lattice(w: Window) -> np.ndarray:
-    """Regular lattice of test points covering the window (cell centres)."""
+class _Lattice(NamedTuple):
+    """F's test lattice: the centres of square cells of side ``h`` tiling the
+    window's bounding rectangle from its lower left corner, kept where they
+    lie in the window. ``points`` are the kept centres, ``flat`` their
+    indices ``iy * xs.size + ix`` on the grid of cells and ``bdist`` their
+    boundary distances."""
+
+    h: float
+    xs: np.ndarray
+    ys: np.ndarray
+    points: np.ndarray
+    flat: np.ndarray
+    bdist: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _lattice(w: Window) -> _Lattice:
+    """The test lattice of ``w``, 128 cells along its short side (or
+    diameter); every array is read-only."""
     h = w.short_side / 128.0
     rect = w if isinstance(w, Rect) else w.bounding_rect
     nx = max(1, int(math.floor((rect.xmax - rect.xmin) / h)))
     ny = max(1, int(math.floor((rect.ymax - rect.ymin) / h)))
     xs = rect.xmin + (np.arange(nx) + 0.5) * h
     ys = rect.ymin + (np.arange(ny) + 0.5) * h
-    lattice = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
-    if not isinstance(w, Rect):
-        lattice = lattice[w.contains(lattice)]
-    return lattice
+    points = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
+    flat = np.flatnonzero(w.contains(points))
+    points = points[flat]
+    bdist = w.boundary_distance(points)
+    for a in (xs, ys, points, flat, bdist):
+        a.setflags(write=False)
+    return _Lattice(h, xs, ys, points, flat, bdist)
+
+
+# stencil entries formed at once, in multiples of the lattice's grid size
+_SCATTER_BLOCK = 16
+
+
+def _lattice_distances(points: np.ndarray, lat: _Lattice,
+                       area: float) -> np.ndarray:
+    """Distance from each lattice point to the nearest of ``points``, equal
+    bit for bit to ``cKDTree(points).query(lat.points)[0]``.
+
+    Each data point writes ``dx*dx + dy*dy`` (the tree's own formula) onto
+    the lattice points of a square stencil of half-width w cells around
+    the lattice point nearest to it, and each lattice point keeps the
+    least. The stencil has w = ceil(sqrt(2.3 |W| / (pi n)) / h), so w h
+    covers about 90% of a Poisson pattern's empty space, and is clipped to
+    the grid per axis. It reaches every lattice point within (w + 1/2) h
+    of its data point along both axes, so a least value at most (w h)^2 is
+    the exact nearest squared distance. Only the lattice points above it
+    are queried with a k-d tree. The scatter is one ``np.minimum.at`` per
+    block of points, which is fast from numpy 1.25 on.
+    """
+    n = points.shape[0]
+    if n == 0:
+        return np.full(lat.points.shape[0], np.inf)
+    h, xs, ys = lat.h, lat.xs, lat.ys
+    nx, ny = xs.size, ys.size
+    w = math.ceil(math.sqrt(2.3 * area / (math.pi * n)) / h)
+    wx, wy = min(2 * w + 1, nx), min(2 * w + 1, ny)
+    # first stencil column and row of each point: its nearest lattice
+    # point's minus w, shifted to keep the stencil on the grid
+    cx = np.floor((points[:, 0] - xs[0]) / h + 0.5)
+    cy = np.floor((points[:, 1] - ys[0]) / h + 0.5)
+    x0 = np.clip(cx - w, 0, nx - wx).astype(np.intp)
+    y0 = np.clip(cy - w, 0, ny - wy).astype(np.intp)
+    best = np.full(nx * ny, np.inf)
+    block = max(1, _SCATTER_BLOCK * nx * ny // (wx * wy))
+    for s in range(0, n, block):
+        sx = x0[s:s + block, None] + np.arange(wx)
+        sy = y0[s:s + block, None] + np.arange(wy)
+        dx = xs[sx] - points[s:s + block, 0, None]
+        dy = ys[sy] - points[s:s + block, 1, None]
+        d2 = (dx * dx)[:, None, :] + (dy * dy)[:, :, None]
+        cell = (sy * nx)[:, :, None] + sx[:, None, :]
+        np.minimum.at(best, cell.ravel(), d2.ravel())
+    d2 = best[lat.flat]
+    dist = np.sqrt(d2)
+    rest = np.flatnonzero(d2 > (w * h) ** 2)
+    if rest.size:
+        dist[rest] = cKDTree(points).query(lat.points[rest])[0]
+    return dist
 
 
 def _border_corrected_fraction(dist: np.ndarray, bdist: np.ndarray,
@@ -222,15 +295,20 @@ def _border_corrected_fraction(dist: np.ndarray, bdist: np.ndarray,
 
 
 def F_hat(p: PointPattern, grid) -> SummaryCurve:
-    """Border-corrected empty-space function over a 128-per-side lattice."""
+    """Border-corrected empty-space function.
+
+    The reference points are the cell centres of a square lattice with 128
+    cells along the window's short side (its diameter for a disc), kept
+    where they lie in the window. Their distances to the pattern are exact,
+    equal bit for bit to a k-d tree query: each data point scatters its
+    squared distance onto a stencil of nearby lattice points, a least value
+    within the stencils' reach is the true one, and only the lattice points
+    beyond it are queried with the tree (see ``_lattice_distances``).
+    """
     grid = _check_grid(grid)
-    lattice = _test_lattice(p.window)
-    if p.n:
-        dist, _ = cKDTree(p.points).query(lattice)
-    else:
-        dist = np.full(lattice.shape[0], np.inf)
-    bdist = p.window.boundary_distance(lattice)
-    vals = _border_corrected_fraction(dist, bdist, grid)
+    lat = _lattice(p.window)
+    dist = _lattice_distances(p.points, lat, p.window.area)
+    vals = _border_corrected_fraction(dist, lat.bdist, grid)
     return SummaryCurve(grid, vals, "F", "empirical")
 
 

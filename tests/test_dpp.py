@@ -480,6 +480,19 @@ class TestBasisRows:
         got = spec.basis.matrix(pts, idx)
         assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
 
+    @pytest.mark.parametrize("nu,lam,r", [(1.0, 50.0, 1.5), (0.7, 30.0, 2.0)])
+    def test_ginibre_log_norms(self, nu, lam, r):
+        # log of sqrt(lam (lam pi)^(i-1) / ((i-1)! nu^i P(i, t))) for the
+        # i-th eigenfunction, to a few ulps of its largest term
+        spec = ginibre_spectrum(GinibreParams(nu, lam), r)
+        t = lam * math.pi * r * r / nu
+        for i in (250, 490):
+            terms = (0.5 * math.log(lam), 0.5 * (i - 1) * math.log(lam * math.pi),
+                     -0.5 * math.lgamma(i), -0.5 * i * math.log(nu),
+                     -0.5 * math.log(gammainc(float(i), t)))
+            ulp = math.ulp(max(abs(x) for x in terms))
+            assert abs(spec.basis.log_norms[i - 1] - math.fsum(terms)) <= 4 * ulp, i
+
     @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
                                           (0.6, 20.0, 1.0)])
     def test_ginibre_bound_is_the_grid_maximum(self, nu, lam, r):

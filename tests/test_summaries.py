@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import cKDTree
 
 from dsncp.cli import _curve_csv_text
 from dsncp.cluster import Family, ModelParams
@@ -35,6 +36,8 @@ from dsncp.summaries import (
     K_theoretical,
     SummaryCurve,
     _border_corrected_fraction,
+    _lattice,
+    _lattice_distances,
     _translation_pairs,
     default_grid,
     default_pcf_bandwidth,
@@ -473,22 +476,20 @@ class TestDistanceFunctions:
 
     def test_F_matches_naive(self):
         gen = RngStream(seed=11).generator
-        p = PointPattern(UNIT.sample_uniform(80, gen), UNIT)
         grid = np.linspace(0.0, 0.45, 97)
-        got = F_hat(p, grid).values
-        from dsncp.summaries import _test_lattice
-        from scipy.spatial import cKDTree
-        lattice = _test_lattice(UNIT)
-        dist, _ = cKDTree(p.points).query(lattice)
-        want = self.naive_fraction(dist, UNIT.boundary_distance(lattice), grid)
-        np.testing.assert_allclose(got, want, rtol=1e-12, equal_nan=True)
+        for w in (UNIT, DISC):
+            p = PointPattern(w.sample_uniform(80, gen), w)
+            got = F_hat(p, grid).values
+            lattice = _lattice(w).points
+            dist, _ = cKDTree(p.points).query(lattice)
+            want = self.naive_fraction(dist, w.boundary_distance(lattice), grid)
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_G_matches_naive(self):
         gen = RngStream(seed=12).generator
         p = PointPattern(UNIT.sample_uniform(80, gen), UNIT)
         grid = np.linspace(0.0, 0.4, 81)
         got = G_hat(p, grid).values
-        from scipy.spatial import cKDTree
         dist, _ = cKDTree(p.points).query(p.points, k=2)
         want = self.naive_fraction(dist[:, 1],
                                    UNIT.boundary_distance(p.points), grid)
@@ -574,3 +575,85 @@ class TestDistanceFunctions:
         np.testing.assert_allclose(acc_f / reps, want, atol=0.02)
         np.testing.assert_allclose(acc_g / reps, want, atol=0.02)
         np.testing.assert_allclose(acc_j / reps, 1.0, atol=0.05)
+
+
+LATTICE_WINDOWS = [UNIT, Rect(-1.3, 1.7, 0.2, 0.9), Rect(0.0, 4.0, 0.0, 0.25),
+                   Disc(0.3, -0.2, 0.6)]
+
+
+def _awkward_pattern(w, data):
+    """Uniform points, tight clusters (sd below the lattice spacing), points
+    on lattice nodes, on cell edges and on the window edge, and duplicates."""
+    lat = _lattice(w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [w.sample_uniform(data.draw(st.integers(0, 1500)), rng)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        centre = w.sample_uniform(1, rng)
+        sd = lat.h * data.draw(st.sampled_from([0.01, 0.3, 0.9]))
+        parts.append(centre + sd * rng.standard_normal(
+            (data.draw(st.integers(1, 200)), 2)))
+    nodes = data.draw(st.integers(0, 50))
+    ix = rng.integers(0, lat.xs.size, nodes)
+    iy = rng.integers(0, lat.ys.size, nodes)
+    parts.append(np.column_stack((lat.xs[ix], lat.ys[iy])))
+    parts.append(np.column_stack((lat.xs[ix] + lat.h / 2, lat.ys[iy])))
+    parts.append(np.column_stack((lat.xs[ix], lat.ys[iy] - lat.h / 2)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, data.draw(st.integers(0, 20)))
+    if isinstance(w, Rect):
+        t = rng.random(theta.size)
+        parts.append(np.column_stack((w.xmin + t * (w.xmax - w.xmin),
+                                      np.where(theta < math.pi, w.ymin, w.ymax))))
+    else:
+        parts.append(np.column_stack((w.cx + w.radius * np.cos(theta),
+                                      w.cy + w.radius * np.sin(theta))))
+    pts = np.vstack(parts)
+    pts = pts[w.contains(pts)]
+    if pts.shape[0] == 0:
+        pts = np.array([w.center], dtype=float)
+    dup = rng.integers(0, pts.shape[0], data.draw(st.integers(0, 30)))
+    return np.vstack((pts, pts[dup]))
+
+
+class TestLatticeDistances:
+    """F's lattice distances are the k-d tree's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(LATTICE_WINDOWS), st.data())
+    def test_equal_to_tree_and_brute_force(self, w, data):
+        lat = _lattice(w)
+        pts = _awkward_pattern(w, data)
+        got = _lattice_distances(pts, lat, w.area)
+        assert np.array_equal(got, cKDTree(pts).query(lat.points)[0])
+        # brute force with the tree's formula, over a sample of the lattice
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        some = rng.choice(lat.points.shape[0], 600, replace=False)
+        dx = lat.points[some, :1] - pts[:, 0]
+        dy = lat.points[some, 1:] - pts[:, 1]
+        assert np.array_equal(got[some],
+                              np.sqrt((dx * dx + dy * dy).min(axis=1)))
+
+    @pytest.mark.parametrize("w", LATTICE_WINDOWS)
+    def test_lattice_is_the_cell_centres_in_the_window(self, w):
+        lat = _lattice(w)
+        grid = np.column_stack([g.ravel() for g in np.meshgrid(lat.xs, lat.ys)])
+        inside = w.contains(grid)
+        assert np.array_equal(lat.flat, np.flatnonzero(inside))
+        assert np.array_equal(lat.points, grid[inside])
+        assert np.array_equal(lat.bdist, w.boundary_distance(lat.points))
+        assert min(lat.xs.size, lat.ys.size) == 128
+        for a in lat[1:]:
+            assert not a.flags.writeable
+        assert _lattice(w) is lat
+
+    def test_large_pattern_in_blocks(self):
+        # 1e5 points scatter 9 stencil entries each, about 55 times the
+        # lattice, so the scatter runs in blocks
+        gen = RngStream(seed=13).generator
+        p = PointPattern(UNIT.sample_uniform(100_000, gen), UNIT)
+        lat = _lattice(UNIT)
+        dist = cKDTree(p.points).query(lat.points)[0]
+        assert np.array_equal(_lattice_distances(p.points, lat, UNIT.area), dist)
+        grid = np.linspace(0.0, 0.01, 41)
+        assert np.array_equal(F_hat(p, grid).values,
+                              _border_corrected_fraction(dist, lat.bdist, grid),
+                              equal_nan=True)
