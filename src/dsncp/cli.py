@@ -34,10 +34,11 @@ from .core import (
     RejectionBoundError,
     RngStream,
     Window,
+    csv_text,
     read_json,
     write_json,
 )
-from .dpp import DppSpectrum, most_repulsive_intensity
+from .dpp import most_repulsive_intensity
 from .envelope import StudyConfig, envelope_test, resume_study
 from .fit import ContrastOptions, FitResult, min_contrast_fit
 from .summaries import (
@@ -185,18 +186,6 @@ def _load_fit(path: str, family: str | None) -> FitResult:
     return fit
 
 
-def _curve_csv_text(r: np.ndarray, values: np.ndarray) -> str:
-    lines = ["r,value"]
-    lines += [f"{ri:.17g},{vi:.17g}" for ri, vi in zip(r, values)]
-    return "\n".join(lines) + "\n"
-
-
-def _write_spectrum_csv(path: str, spec: DppSpectrum) -> None:
-    lines = ["index,eigenvalue"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(spec.eigenvalues)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -205,7 +194,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     m = _build_model(args)
     ext = Extension(args.ext) if args.ext is not None else default_extension(m)
     if args.dump_spectrum:
-        _write_spectrum_csv(args.dump_spectrum, centre_spectrum(m, args.window, ext))
+        spec = centre_spectrum(m, args.window, ext)
+        Path(args.dump_spectrum).write_text(
+            csv_text("index,eigenvalue", enumerate(spec.eigenvalues)))
     pattern = sample_model(m, args.window, ext=ext,
                            rng=RngStream(args.seed, args.stream))
     if args.output:
@@ -220,7 +211,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.stat == "crossover":
         rstar = pcf_crossover_radius(m)
         if args.output:
-            Path(args.output).write_text(f"rstar\n{rstar:.17g}\n")
+            Path(args.output).write_text(csv_text("rstar", [[rstar]]))
         if not args.quiet:
             print(f"rstar={rstar:.17g}")
         return 0
@@ -231,7 +222,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         values = K_theoretical(m, grid)
     else:
         values = K_theoretical(m, grid) - math.pi * grid ** 2
-    text = _curve_csv_text(grid, np.asarray(values))
+    text = csv_text("r,value", zip(grid, values))
     if args.output:
         Path(args.output).write_text(text)
         if not args.quiet:
@@ -290,7 +281,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     # p-value sidecar next to the curve CSV, never clobbering it
     sidecar = (out.with_suffix(".json") if out.suffix != ".json"
                else out.with_suffix(".meta.json"))
-    res.meta_to_json(sidecar)
+    write_json(sidecar, res.meta())
     if not args.quiet:
         verdict = "rejected" if res.rejected else "not rejected"
         print(f"p={res.p_value:.17g} level={res.level:g} -> {verdict}")

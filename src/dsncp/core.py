@@ -215,6 +215,18 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def csv_line(values) -> str:
+    """``values`` comma-joined, each number as %.17g and each string as it
+    is. %.17g round-trips float64 exactly, which keeps outputs byte-stable."""
+    return ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values)
+
+
+def csv_text(header: str, rows) -> str:
+    """The CSV every writer emits: ``header``, then one ``csv_line`` per row
+    of values, ending with a newline."""
+    return "\n".join([header, *map(csv_line, rows)]) + "\n"
+
+
 def read_json(path: str | Path):
     """Parse a JSON file, raising InputFileError if it cannot be read."""
     try:
@@ -250,9 +262,7 @@ class PointPattern:
         return PointPattern(self.points[keep], w)
 
     def to_csv(self, path: str | Path) -> None:
-        # %.17g round-trips float64 exactly, keeping outputs bit-stable
-        np.savetxt(path, self.points.reshape(-1, 2), fmt="%.17g",
-                   delimiter=",", header="x,y", comments="")
+        Path(path).write_text(csv_text("x,y", self.points))
 
     @classmethod
     def from_csv(cls, path: str | Path, window: Window) -> "PointPattern":

@@ -121,16 +121,6 @@ def validate_dpp_params(family: DppFamily) -> None:
         )
 
 
-def kernel_correlation_modulus_sq(family: DppFamily, y) -> np.ndarray | float:
-    """Squared modulus of the normalized kernel at lag ``y``:
-    exp(-|y|^2 / s^2), s^2 the family's ``range_sq``. Accepts a single lag
-    vector or an array of them (last axis = coordinates).
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.exp(-np.sum(y * y, axis=-1) / family.range_sq)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class GinibreParams:
     """Variation-independent Ginibre parametrization.
@@ -154,14 +144,6 @@ class GinibreParams:
         nu = min(family.rho_Y * math.pi * family.beta ** 2, 1.0)
         return cls(nu=nu, lam=family.rho_Y)
 
-    @property
-    def beta(self) -> float:
-        return math.sqrt(self.nu / (self.lam * math.pi))
-
-    @property
-    def rho_Y(self) -> float:
-        return self.lam
-
 
 class _FourierBasis:
     """Orthonormal complex exponentials on a rectangle, indexed by integer
@@ -174,9 +156,6 @@ class _FourierBasis:
         self._inv_sides = np.array([1.0 / lx, 1.0 / ly])
         self._origin = np.array([rect.xmin, rect.ymin])
         self._amp = 1.0 / math.sqrt(rect.area)
-
-    def matrix(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.rows(idx)(points)
 
     def rows(self, idx: np.ndarray):
         """Points -> rows of the selection ``idx``: exp(2 pi i k1 x') times
@@ -213,9 +192,6 @@ class _GinibreBasis:
                           - 0.5 * gammaln(i)  # log (i - 1)!
                           - 0.5 * i * math.log(nu)
                           - 0.5 * log_p)
-
-    def matrix(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.rows(idx)(points)
 
     def rows(self, idx: np.ndarray):
         """Points -> rows of ``idx``: exp(i log z + log_norm_i - coef |z|^2 / 2)."""

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import Extension, Family, ModelParams, sample_model
+from .cluster import Family, ModelParams, sample_model
 from .core import (
     InputFileError,
     ParameterError,
@@ -28,6 +28,8 @@ from .core import (
     Rect,
     RejectionBoundError,
     RngStream,
+    csv_line,
+    csv_text,
     read_json,
     write_json,
 )
@@ -142,17 +144,12 @@ class EnvelopeResult:
         return self.p_value < 1.0 - self.level
 
     def to_csv(self, path: str | Path) -> None:
-        data = np.column_stack((self.r, self.observed, self.lower,
-                                self.upper, self.central))
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="r,obs,lo,hi,central", comments="")
+        Path(path).write_text(csv_text("r,obs,lo,hi,central", zip(
+            self.r, self.observed, self.lower, self.upper, self.central)))
 
     def meta(self) -> dict:
         return {"p_value": self.p_value, "level": self.level,
                 "n_sim": self.n_sim, "statistic": self.statistic}
-
-    def meta_to_json(self, path: str | Path) -> None:
-        write_json(path, self.meta())
 
 
 def _check_level(n_sim: int, level: float) -> None:
@@ -212,14 +209,13 @@ def _curve_values(p: PointPattern, statistic: str, grid: np.ndarray,
 
 
 def _sim_curve_task(args) -> np.ndarray:
-    m, w, ext, stream, statistic, grid, bandwidth = args
-    pattern = sample_model(m, w, ext=ext, rng=stream)
+    m, w, stream, statistic, grid, bandwidth = args
+    pattern = sample_model(m, w, rng=stream)
     return _curve_values(pattern, statistic, grid, bandwidth)
 
 
 def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
                   statistic: str = "J", n_sim: int = 2499,
-                  ext: Extension | None = None,
                   rng: RngStream | None = None, level: float = 0.95,
                   jobs: int = 1) -> EnvelopeResult:
     """Goodness-of-fit test of a fitted model against the data pattern.
@@ -247,8 +243,8 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
         if grid.size == 0:
             raise ParameterError("pcf grid is empty after the bandwidth cut")
     observed = _curve_values(p, statistic, grid, bandwidth)
-    tasks = [(model, p.window, ext, rng.substream(i), statistic, grid,
-              bandwidth) for i in range(n_sim)]
+    tasks = [(model, p.window, rng.substream(i), statistic, grid, bandwidth)
+             for i in range(n_sim)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sim_curve_task, tasks,
@@ -332,12 +328,13 @@ class StudyRow:
     mean_rhoY_ratio: float
     replicates_ok: int
 
+    def cells(self) -> tuple:
+        """The row's study CSV cells; the first five identify its cell."""
+        return (self.true_family.value, self.fitted_family.value, self.alpha,
+                self.gamma, self.rho_Y, self.reject_rate, self.mean_rhoY_ratio)
+
     def csv_line(self) -> str:
-        return ",".join([
-            self.true_family.value, self.fitted_family.value,
-            *(f"{v:.17g}" for v in (self.alpha, self.gamma, self.rho_Y,
-                                    self.reject_rate, self.mean_rhoY_ratio)),
-        ])
+        return csv_line(self.cells())
 
 
 @dataclass
@@ -441,18 +438,14 @@ class StudyResume(NamedTuple):
     errors_path: Path
 
 
-def _write_study_csv(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join([STUDY_CSV_HEADER, *lines]) + "\n")
-
-
-def _read_study_rows(path: Path) -> dict[tuple, str]:
-    """The rows of an existing study CSV, each line keyed by its first five
-    columns; %.17g round-trips them exactly."""
+def _read_study_rows(path: Path) -> dict[tuple, list[str]]:
+    """The rows of an existing study CSV, each row's cells keyed by its first
+    five columns; %.17g round-trips them exactly."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from None
-    have: dict[tuple, str] = {}
+    have: dict[tuple, list[str]] = {}
     for num, ln in enumerate(text.splitlines()[1:], start=2):
         if not ln.strip():
             continue
@@ -465,7 +458,7 @@ def _read_study_rows(path: Path) -> dict[tuple, str]:
         except ValueError:
             raise InputFileError(f"{path}: line {num}: malformed study row"
                                  ) from None
-        have[key] = ln
+        have[key] = parts
     return have
 
 
@@ -491,6 +484,12 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     errors = read_json(sidecar) if sidecar.exists() else []
     if not isinstance(errors, list):
         raise InputFileError(f"{sidecar}: expected a JSON list of errors")
+    for num, e in enumerate(errors):
+        if not (isinstance(e, dict) and all(
+                v is None or isinstance(v, (str, int, float))
+                for v in e.values())):
+            raise InputFileError(f"{sidecar}: entry {num} is not a JSON "
+                                 f"object of scalar values")
     # rerun cells regenerate their errors; drop the stale copies
     rerun = {(fam.value, a, g, r) for idx, fam, a, g, r, _ in cells
              if idx in todo}
@@ -499,14 +498,12 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     if todo:
         res = run_study(config, cell_indices=todo)
         errors += res.errors
-        have.update(((row.true_family.value, row.fitted_family.value,
-                      row.alpha, row.gamma, row.rho_Y), row.csv_line())
-                    for row in res.rows)
+        have.update((row.cells()[:5], row.cells()) for row in res.rows)
 
-    lines = [have[k] for keys in keys_of_cell.values() for k in keys
-             if k in have]
-    _write_study_csv(out, lines)
+    rows = [have[k] for keys in keys_of_cell.values() for k in keys
+            if k in have]
+    out.write_text(csv_text(STUDY_CSV_HEADER, rows))
     write_json(sidecar, errors)
-    return StudyResume(rows=len(lines), errors=len(errors),
+    return StudyResume(rows=len(rows), errors=len(errors),
                        cells_kept=len(cells) - len(todo), cells_run=len(todo),
                        errors_path=sidecar)

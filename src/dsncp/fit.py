@@ -147,15 +147,6 @@ def _model_from(family: Family, alpha: float, second: float) -> ModelParams:
                                       beta=second)
 
 
-def _on_grid(k_hat: SummaryCurve, grid: np.ndarray) -> np.ndarray:
-    """The curve's values on ``grid``, interpolated when the grids differ."""
-    if k_hat.r.size == grid.size and np.array_equal(k_hat.r, grid):
-        return k_hat.values
-    if k_hat.r.size < 2 or k_hat.r[0] > grid[0] or k_hat.r[-1] < grid[-1]:
-        raise ParameterError("empirical curve does not cover the contrast range")
-    return np.interp(grid, k_hat.r, k_hat.values)
-
-
 def _contrast(emp_q: np.ndarray, m: ModelParams, opts: ContrastOptions,
               grid: np.ndarray) -> float:
     """Trapezoid integral of |emp_q - K_model^q|^p over ``grid``."""
@@ -177,6 +168,8 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     Nelder-Mead in log parameter space from a 3 x 3 grid of starts; the
     reported convergence flag reflects the winning run (relative simplex
     diameter below 1e-6). Ties on the objective prefer smaller alpha.
+    A given ``k_hat`` must be on the contrast grid ``options.grid()``, so
+    that one K_hat can serve every family's fit.
     """
     # imported on first use: only fitting needs it, and loading it with the
     # package would add about 0.15 s to every dsncp process
@@ -189,7 +182,10 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     grid = opts.grid()
     if k_hat is None:
         k_hat = K_hat(p, grid)
-    emp_q = _on_grid(k_hat, grid) ** opts.q
+    elif not np.array_equal(k_hat.r, grid):
+        raise ParameterError("empirical curve is not on the contrast grid "
+                             "options.grid()")
+    emp_q = k_hat.values ** opts.q
 
     a_bounds = opts.resolved_alpha_bounds()
     if family is Family.THOMAS:

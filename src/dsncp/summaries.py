@@ -38,8 +38,6 @@ class SummaryCurve:
     r: np.ndarray
     values: np.ndarray
     statistic: str
-    kind: str
-    warning: str | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -49,8 +47,6 @@ class SummaryCurve:
         _check_grid(r)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
-        if self.kind not in ("theoretical", "empirical"):
-            raise ParameterError(f"unknown kind {self.kind!r}")
         r.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "r", r)
@@ -148,12 +144,12 @@ def K_hat(p: PointPattern, grid) -> SummaryCurve:
         raise InsufficientPointsError(f"K_hat needs n >= 2, got n={p.n}")
     grid = _check_grid(grid)
     if grid.size == 0:
-        return SummaryCurve(grid, np.zeros(0), "K", "empirical")
+        return SummaryCurve(grid, np.zeros(0), "K")
     d, wgt = _translation_pairs(p, float(grid[-1]))
     idx = np.searchsorted(grid, d, side="left")
     hist = np.bincount(idx, weights=wgt, minlength=grid.size)
     vals = np.cumsum(hist) * p.window.area ** 2 / (p.n * (p.n - 1))
-    return SummaryCurve(grid, vals, "K", "empirical")
+    return SummaryCurve(grid, vals, "K")
 
 
 def default_pcf_bandwidth(p: PointPattern) -> float:
@@ -170,7 +166,7 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
     if not b > 0:
         raise ParameterError(f"bandwidth must be > 0, got {b}")
     if grid.size == 0:
-        return SummaryCurve(grid, np.zeros(0), "pcf", "empirical")
+        return SummaryCurve(grid, np.zeros(0), "pcf")
     if grid[0] <= b / 2.0:
         raise ParameterError(
             f"grid must start above bandwidth/2 = {b / 2}, got {grid[0]}")
@@ -186,7 +182,7 @@ def pcf_hat(p: PointPattern, grid, bandwidth: float | None = None) -> SummaryCur
         wgt[i:j] @ (1.0 - ((r - d[i:j]) / b) ** 2)
         for r, i, j in zip(grid, lo, hi)])
     vals = ksum * p.window.area ** 2 / (2 * math.pi * grid * p.n * (p.n - 1))
-    return SummaryCurve(grid, vals, "pcf", "empirical")
+    return SummaryCurve(grid, vals, "pcf")
 
 
 class _Lattice(NamedTuple):
@@ -309,7 +305,7 @@ def F_hat(p: PointPattern, grid) -> SummaryCurve:
     lat = _lattice(p.window)
     dist = _lattice_distances(p.points, lat, p.window.area)
     vals = _border_corrected_fraction(dist, lat.bdist, grid)
-    return SummaryCurve(grid, vals, "F", "empirical")
+    return SummaryCurve(grid, vals, "F")
 
 
 def G_hat(p: PointPattern, grid) -> SummaryCurve:
@@ -320,7 +316,7 @@ def G_hat(p: PointPattern, grid) -> SummaryCurve:
     dist, _ = cKDTree(p.points).query(p.points, k=2)
     bdist = p.window.boundary_distance(p.points)
     vals = _border_corrected_fraction(dist[:, 1], bdist, grid)
-    return SummaryCurve(grid, vals, "G", "empirical")
+    return SummaryCurve(grid, vals, "G")
 
 
 def j_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -336,8 +332,4 @@ def J_hat(p: PointPattern, grid) -> SummaryCurve:
     grid = _check_grid(grid)
     vals = j_values(F_hat(p, grid).values, G_hat(p, grid).values)
     valid = np.isfinite(vals)
-    warning = None
-    if not valid.any():
-        warning = "J undefined on the whole grid (F_hat saturates)"
-    return SummaryCurve(grid[valid], vals[valid], "J", "empirical",
-                        warning=warning)
+    return SummaryCurve(grid[valid], vals[valid], "J")

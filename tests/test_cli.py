@@ -604,6 +604,21 @@ class TestStudy:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", [
+        {"true_family": "thomas"},
+        [1, 2],
+        [{"true_family": "thomas", "alpha": [0.05]}],
+    ], ids=["not-a-list", "not-objects", "list-value"])
+    def test_malformed_sidecar_exits_2(self, sidecar, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        errors = tmp_path / "study.errors.json"
+        errors.write_text(json.dumps(sidecar))
+        rc = run_cli(["study", "--config", cfg, "-o", out])
+        assert rc == 2
+        assert str(errors) in capsys.readouterr().err
+        assert not out.exists()  # refused before any cell ran
+
     def test_unreadable_output_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "study.csv"

@@ -22,7 +22,6 @@ from dsncp.dpp import (
     GinibreParams,
     gaussian_dpp_spectrum,
     ginibre_spectrum,
-    kernel_correlation_modulus_sq,
     kernel_matrix,
     max_admissible_beta,
     most_repulsive_intensity,
@@ -77,21 +76,29 @@ class TestValidation:
         p = GinibreParams.from_family(GinibreDpp(rho_Y=1 / math.pi, beta=1.0))
         assert p.nu == pytest.approx(1.0)
         assert p.lam == pytest.approx(1 / math.pi)
-        assert p.beta == pytest.approx(1.0)
+        # nu = rho_Y pi beta^2 maps back to beta = 1
+        assert math.sqrt(p.nu / (p.lam * math.pi)) == pytest.approx(1.0)
+
+
+def _correlation_sq(fam, y) -> float:
+    """|C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2), s^2 the family's range_sq."""
+    return math.exp(-(y[0] ** 2 + y[1] ** 2) / fam.range_sq)
 
 
 class TestKernelCorrelation:
     def test_zero_lag(self):
+        # two points at one place: the pair intensity vanishes
         for fam in (GaussianDpp(0.1, 1.0), GinibreDpp(0.1, 1.0)):
-            assert kernel_correlation_modulus_sq(fam, [0.0, 0.0]) == 1.0
+            u = np.array([0.3, -0.2])
+            assert nth_order_intensity(fam, [u, u]) == pytest.approx(
+                0.0, abs=1e-15)
 
     def test_frozen_values(self):
-        assert kernel_correlation_modulus_sq(
-            GaussianDpp(0.01, 2.0), [2.0, 0.0]) == pytest.approx(
-            math.exp(-2.0), rel=1e-14)
-        assert kernel_correlation_modulus_sq(
-            GinibreDpp(0.01, 2.0), [0.0, 2.0]) == pytest.approx(
-            math.exp(-1.0), rel=1e-14)
+        for fam, lag, want in ((GaussianDpp(0.01, 2.0), [2.0, 0.0], -2.0),
+                               (GinibreDpp(0.01, 2.0), [0.0, 2.0], -1.0)):
+            pair = nth_order_intensity(fam, [[0.5, 0.5], np.add([0.5, 0.5], lag)])
+            assert pair == pytest.approx(
+                fam.rho_Y ** 2 * (1.0 - math.exp(want)), rel=1e-14)
 
     def test_pair_intensity_consistency(self):
         # det-based second order intensity / rho^2 == 1 - |r|^2/rho^2
@@ -100,7 +107,7 @@ class TestKernelCorrelation:
             for _ in range(50):
                 u, v = gen.normal(0.0, 1.0, (2, 2))
                 lhs = nth_order_intensity(fam, [u, v]) / fam.rho_Y ** 2
-                rhs = 1.0 - kernel_correlation_modulus_sq(fam, u - v)
+                rhs = 1.0 - _correlation_sq(fam, u - v)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_range_sq(self):
@@ -108,12 +115,14 @@ class TestKernelCorrelation:
         assert GinibreDpp(0.01, 0.3).range_sq == 0.3 ** 2
 
     def test_vectorized_lags(self):
-        fam = GaussianDpp(1.0, 0.5)
-        lags = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
-        vals = kernel_correlation_modulus_sq(fam, lags)
-        assert vals.shape == (3,)
-        assert vals[0] == 1.0
-        assert vals[1] == pytest.approx(math.exp(-2.0), rel=1e-14)
+        # one row of the kernel matrix holds the correlation at every lag
+        lags = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0], [-0.3, 0.4]])
+        for fam in (GaussianDpp(1.0, 0.5), GinibreDpp(1.0, 0.5)):
+            row = kernel_matrix(fam, lags)[0]
+            got = np.abs(row) ** 2 / fam.rho_Y ** 2
+            want = [_correlation_sq(fam, y) for y in lags]
+            assert got[0] == 1.0
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 class TestGinibreSpectrum:
@@ -169,7 +178,7 @@ class TestGinibreSpectrum:
         s = 0.5 * r * (nodes + 1.0)
         w = 0.5 * r * weights
         pts = np.column_stack((s, np.zeros_like(s)))
-        vals = spec.basis.matrix(pts, np.arange(m))  # (nodes, m); radial part
+        vals = spec.basis.rows(np.arange(m))(pts)  # (nodes, m); radial part
         mods = np.abs(vals) ** 2
         # angular integral of phi_i conj(phi_j) vanishes unless i = j
         diag = 2.0 * math.pi * np.sum(w[:, None] * s[:, None] * mods, axis=0)
@@ -187,8 +196,8 @@ class TestGinibreSpectrum:
                    * math.exp(-p.lam * math.pi * abs(u) ** 2 / (2 * p.nu))
                    * u ** (i - 1))
             expect = raw / math.sqrt(gammainc(float(i), t))
-            got = spec.basis.matrix(np.array([[u.real, u.imag]]),
-                                    np.array([i - 1]))[0, 0]
+            got = spec.basis.rows(np.array([i - 1]))(
+                np.array([[u.real, u.imag]]))[0, 0]
             assert got == pytest.approx(expect, rel=1e-10), i
 
     def test_large_count_stability(self):
@@ -198,7 +207,7 @@ class TestGinibreSpectrum:
         assert len(spec.eigenvalues) > 300
         assert spec.eigenvalues.sum() == pytest.approx(
             50 * math.pi * 1.5 ** 2, abs=1e-6)
-        val = spec.basis.matrix(np.array([[0.7, 0.2]]), np.array([250]))[0, 0]
+        val = spec.basis.rows(np.array([250]))(np.array([[0.7, 0.2]]))[0, 0]
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -246,7 +255,7 @@ class TestGaussianSpectrum:
         # |phi_k|^2 == 1/area everywhere; cross products integrate to 0 by
         # exactness of the trapezoid rule for complex exponentials
         pts = rect.sample_uniform(64, RngStream(1, 0).generator)
-        mat = spec.basis.matrix(pts, np.arange(min(10, len(spec.eigenvalues))))
+        mat = spec.basis.rows(np.arange(min(10, len(spec.eigenvalues))))(pts)
         assert np.allclose(np.abs(mat) ** 2, 1.0 / rect.area, rtol=1e-12)
 
 
@@ -367,7 +376,7 @@ class TestProjectionSampler:
         assert p.n == idx.size
         assert np.all(spec.domain.contains(p.points))
         if idx.size:
-            v = spec.basis.matrix(p.points, idx)
+            v = spec.basis.rows(idx)(p.points)
             assert np.linalg.matrix_rank(v) == idx.size
         again = sample_dpp(spec, RngStream(seed, 1))
         assert np.array_equal(p.points, again.points)
@@ -452,7 +461,7 @@ class TestBasisRows:
         pts = rect.sample_uniform(60, np.random.default_rng(1))
         pts = np.vstack((pts, [[rect.xmin, rect.ymin], [rect.xmax, rect.ymax]]))
         for idx in self._selections(spec.eigenvalues.size, 2):
-            got = spec.basis.matrix(pts, idx)
+            got = spec.basis.rows(idx)(pts)
             assert _rel_err(got, _fourier_direct(spec.basis, pts, idx)) <= 1e-13
 
     @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
@@ -467,9 +476,9 @@ class TestBasisRows:
         pts = np.vstack((pts, [[0.0, 0.0], [r * math.cos(2.0), r * math.sin(2.0)],
                                [-r, 0.0]]))
         for idx in self._selections(spec.eigenvalues.size, 5):
-            got = spec.basis.matrix(pts, idx)
+            got = spec.basis.rows(idx)(pts)
             assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
-        centre = spec.basis.matrix(np.zeros((1, 2)), np.arange(3))[0]
+        centre = spec.basis.rows(np.arange(3))(np.zeros((1, 2)))[0]
         assert centre[0] == math.exp(spec.basis.log_norms[0])
         assert np.all(centre[1:] == 0)
 
@@ -477,7 +486,7 @@ class TestBasisRows:
         spec = ginibre_spectrum(GinibreParams(1.0, 50.0), r=1.5)
         pts = np.array([[0.7, 0.2], [1.5, 0.0], [-0.3, 1.1], [0.0, 0.0]])
         idx = np.array([250])
-        got = spec.basis.matrix(pts, idx)
+        got = spec.basis.rows(idx)(pts)
         assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
 
     @pytest.mark.parametrize("nu,lam,r", [(1.0, 50.0, 1.5), (0.7, 30.0, 2.0)])

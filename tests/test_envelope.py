@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 import dsncp.envelope
 import dsncp.fit
 from dsncp.cluster import Family, ModelParams, sample_model
-from dsncp.core import ParameterError, PointPattern, Rect, RngStream
+from dsncp.core import ParameterError, PointPattern, Rect, RngStream, write_json
 from dsncp.envelope import (
     CurveEnsemble,
     EnvelopeResult,
@@ -226,7 +226,7 @@ class TestGlobalEnvelope:
         data = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert data.shape == (7, 5)
         meta_path = tmp_path / "env.json"
-        res.meta_to_json(meta_path)
+        write_json(meta_path, res.meta())
         meta = json.loads(meta_path.read_text())
         assert meta["p_value"] == pytest.approx(0.4)
         assert meta["statistic"] == "K"

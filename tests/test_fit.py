@@ -32,7 +32,6 @@ from dsncp.fit import (
     ContrastOptions,
     FitResult,
     _contrast,
-    _on_grid,
     estimate_gamma,
     min_contrast_fit,
 )
@@ -42,13 +41,13 @@ UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
 
 def exact_curve(m, grid):
-    return SummaryCurve(grid, K_theoretical(m, grid), "K", "empirical")
+    return SummaryCurve(grid, K_theoretical(m, grid), "K")
 
 
 def contrast(k_hat, m, o):
     """The objective min_contrast_fit minimises, at the model m."""
     grid = o.grid()
-    return _contrast(_on_grid(k_hat, grid) ** o.q, m, o, grid)
+    return _contrast(k_hat.values ** o.q, m, o, grid)
 
 
 def dummy_pattern(n=50, seed=3):
@@ -123,13 +122,6 @@ class TestContrastObjective:
         o = ContrastOptions.for_window(UNIT)
         assert contrast(exact_curve(m, o.grid()), off, o) > 1e-6
 
-    def test_interpolates_other_grids(self):
-        m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
-        o = ContrastOptions.for_window(UNIT)
-        fine = np.linspace(0.0, 0.3, 2049)
-        val = contrast(exact_curve(m, fine), m, o)
-        assert val < 1e-10  # only interpolation error
-
     def test_equals_scipy_trapezoid(self):
         from scipy.integrate import trapezoid
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
@@ -147,10 +139,12 @@ class TestContrastObjective:
     def test_rejects_short_curves(self):
         m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
         o = ContrastOptions.for_window(UNIT)
-        short = np.linspace(0.0, 0.1, 65)
-        with pytest.raises(ParameterError, match="does not cover"):
-            min_contrast_fit(dummy_pattern(), "thomas", o,
-                             k_hat=exact_curve(m, short))
+        # a grid short of the range, and a finer one that covers it: both
+        # are off the contrast grid, which a given K_hat must be on
+        for grid in (np.linspace(0.0, 0.1, 65), np.linspace(0.0, 0.3, 2049)):
+            with pytest.raises(ParameterError, match="not on the contrast grid"):
+                min_contrast_fit(dummy_pattern(), "thomas", o,
+                                 k_hat=exact_curve(m, grid))
 
 
 class TestSyntheticRecovery:

@@ -23,7 +23,6 @@ from dsncp.core import (
 from dsncp.dpp import (
     GaussianDpp,
     GinibreDpp,
-    kernel_correlation_modulus_sq,
     kernel_matrix,
     max_admissible_beta,
     most_repulsive_intensity,
@@ -69,8 +68,9 @@ class TestDeterminantConsistency:
         # det of the 2x2 kernel matrix collapses to rho^2 (1 - |R(h)|^2)
         for seed in range(8):
             pts = random_config(2, seed)
+            h = pts[0] - pts[1]
             want = family.rho_Y ** 2 * (
-                1.0 - kernel_correlation_modulus_sq(family, pts[0] - pts[1]))
+                1.0 - math.exp(-(h @ h) / family.range_sq))
             got = nth_order_intensity(family, pts)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
 
@@ -174,7 +174,7 @@ class TestZeroObjectiveRecovery:
         opts = ContrastOptions.for_window(UNIT)
         grid = opts.grid()
         synth = SummaryCurve(r=grid, values=K_theoretical(truth, grid),
-                             statistic="K", kind="theoretical")
+                             statistic="K")
         fit = min_contrast_fit(dummy_pattern, family, options=opts,
                                k_hat=synth)
         assert fit.converged

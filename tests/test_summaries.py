@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.spatial import cKDTree
 
-from dsncp.cli import _curve_csv_text
-from dsncp.cluster import Family, ModelParams
+from dsncp.cli import main as cli_main
+from dsncp.cluster import Family, ModelParams, centre_spectrum, default_extension
 from dsncp.core import (
     Disc,
     InsufficientPointsError,
@@ -26,8 +26,16 @@ from dsncp.core import (
     PointPattern,
     Rect,
     RngStream,
+    csv_text,
 )
-from dsncp.dpp import max_admissible_beta
+from dsncp.dpp import max_admissible_beta, most_repulsive_intensity
+from dsncp.envelope import (
+    STUDY_CSV_HEADER,
+    EnvelopeResult,
+    StudyConfig,
+    StudyRow,
+    resume_study,
+)
 from dsncp.summaries import (
     F_hat,
     G_hat,
@@ -48,6 +56,19 @@ from dsncp.summaries import (
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 DISC = Disc(0.5, 0.5, 0.5)
+
+
+def _read_csv(path, header):
+    """The rows of a CSV with the given header, each cell read by float."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def _assert_same_bits(got, want):
+    """Equal element by element, -0.0 apart from 0.0 and NaN equal to NaN."""
+    assert [repr(float(v)) for v in np.ravel(got)] == \
+        [repr(float(v)) for v in np.ravel(want)]
 
 
 def ordered_pair_sum(pts, w, kernel):
@@ -270,24 +291,91 @@ class TestClosedForms:
 class TestSummaryCurve:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            SummaryCurve(np.array([0.0, 0.5, 0.5]), np.zeros(3), "K", "empirical")
+            SummaryCurve(np.array([0.0, 0.5, 0.5]), np.zeros(3), "K")
         with pytest.raises(ParameterError):
-            SummaryCurve(np.array([0.0, 0.5]), np.zeros(3), "K", "empirical")
+            SummaryCurve(np.array([0.0, 0.5]), np.zeros(3), "K")
         with pytest.raises(ParameterError):
-            SummaryCurve(np.array([0.0, 0.5]), np.zeros(2), "what", "empirical")
-        with pytest.raises(ParameterError):
-            SummaryCurve(np.array([0.0, 0.5]), np.zeros(2), "K", "exact")
+            SummaryCurve(np.array([0.0, 0.5]), np.zeros(2), "what")
 
-    def test_csv_round_trip(self, tmp_path):
-        # curves leave the package through the CLI's r,value writer
-        c = SummaryCurve(np.array([0.0, 0.1, 0.2]),
-                         np.array([0.0, 1.0 / 3.0, math.pi]), "K", "empirical")
-        path = tmp_path / "curve.csv"
-        path.write_text(_curve_csv_text(c.r, c.values))
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data[0, 0] == 0.0
-        assert data[1, 1] == 1.0 / 3.0
-        assert data[2, 1] == math.pi
+    def test_csv_round_trip(self, tmp_path, capsys):
+        # every CSV the package writes comes from core.csv_text: a header,
+        # then rows of %.17g values, which parse back bit for bit (NaN as
+        # NaN); the text equals what np.savetxt(fmt="%.17g") wrote before
+        tricky = np.array([0.0, -0.0, 5e-324, 2.5e-310, -1e-300, 1e308,
+                           -1e308, 1.0 / 3.0, math.pi, math.inf, -math.inf,
+                           math.nan, 2.0 ** 53 + 2.0, 1e16, 1e-5, 123.0])
+        random = np.random.default_rng(8).normal(0.0, 10.0, (7, 5))
+        for arr in (np.zeros((0, 2)), tricky.reshape(-1, 2), random):
+            path = tmp_path / "ref.csv"
+            np.savetxt(path, arr, fmt="%.17g", delimiter=",", header="h",
+                       comments="")
+            assert csv_text("h", arr) == path.read_text()
+
+        # points
+        w = Rect(-1.0, 1.0, -1.0, 1.0)
+        pts = np.array([[0.0, -0.0], [5e-324, -2.5e-310], [1.0 / 3.0, -1.0],
+                        [math.pi / 4.0, 1e-300]])
+        PointPattern(pts, w).to_csv(tmp_path / "pts.csv")
+        _assert_same_bits(_read_csv(tmp_path / "pts.csv", "x,y"), pts)
+        # envelope: the observed curve holds the non-finite values
+        lo = np.array([-1e308, -0.0, 5e-324, 1.0 / 3.0])
+        env = EnvelopeResult(r=np.array([0.0, 5e-324, 1e-300, 0.25]),
+                             observed=np.array([math.nan, math.inf, -math.inf,
+                                                -0.0]),
+                             lower=lo, upper=lo + 1e-3, central=lo,
+                             p_value=0.01, level=0.95, n_sim=99)
+        env.to_csv(tmp_path / "env.csv")
+        _assert_same_bits(_read_csv(tmp_path / "env.csv", "r,obs,lo,hi,central"),
+                          np.column_stack((env.r, env.observed, env.lower,
+                                           env.upper, env.central)))
+        # study rows, and the study CSV that resume_study rewrites from them
+        cfg = StudyConfig(alpha_values=(5e-324,), gamma_values=(1e308,),
+                          rho_values=(1.0 / 3.0,), families=(Family.THOMAS,),
+                          fitted_families=(Family.GINIBRE, Family.GAUSSIAN))
+        rows = [StudyRow(Family.THOMAS, f, 5e-324, 1e308, 1.0 / 3.0, v, -v, 2)
+                for f, v in ((Family.GINIBRE, math.nan), (Family.GAUSSIAN, 0.0))]
+        study = tmp_path / "study.csv"
+        study.write_text("\n".join([STUDY_CSV_HEADER,
+                                    *(r.csv_line() for r in rows)]) + "\n")
+        written = study.read_text()
+        assert resume_study(cfg, study).cells_run == 0
+        assert study.read_text() == written
+        cells = [ln.split(",") for ln in written.splitlines()[1:]]
+        assert [c[:2] for c in cells] == [[r.true_family.value,
+                                           r.fitted_family.value] for r in rows]
+        _assert_same_bits(np.array([[float(v) for v in c[2:]] for c in cells]),
+                          np.array([[r.alpha, r.gamma, r.rho_Y, r.reject_rate,
+                                     r.mean_rhoY_ratio] for r in rows]))
+
+        # the CLI's curve, spectrum and crossover files, and curves on stdout
+        m = ModelParams.most_repulsive(
+            Family.GINIBRE, gamma=250.0 / most_repulsive_intensity(0.09),
+            alpha=0.04, beta=0.09)
+        flags = ["--model", m.family.value, "--alpha", "0.04", "--rhoX", "250",
+                 "--beta", "0.09"]
+        grid = np.linspace(0.0, 0.25, 26)
+        for stat, want in (("pcf", pcf_theoretical(m, grid)),
+                           ("K", K_theoretical(m, grid)),
+                           ("Kcentered", K_theoretical(m, grid) - math.pi * grid ** 2)):
+            out = tmp_path / f"{stat}.csv"
+            assert cli_main(["curves", *flags, "--stat", stat, "--r", "0:0.25:26",
+                             "-o", str(out), "--quiet"]) == 0
+            _assert_same_bits(_read_csv(out, "r,value"),
+                              np.column_stack((grid, want)))
+            assert cli_main(["curves", *flags, "--stat", stat, "--r",
+                             "0:0.25:26"]) == 0
+            assert capsys.readouterr().out == out.read_text()
+        out = tmp_path / "rstar.csv"
+        assert cli_main(["curves", *flags, "--stat", "crossover", "-o", str(out),
+                         "--quiet"]) == 0
+        _assert_same_bits(_read_csv(out, "rstar"),
+                          np.array([[pcf_crossover_radius(m)]]))
+        out = tmp_path / "spectrum.csv"
+        assert cli_main(["simulate", *flags, "--window", "rect:0,1,0,1",
+                         "--dump-spectrum", str(out), "--quiet"]) == 0
+        xi = centre_spectrum(m, UNIT, default_extension(m)).eigenvalues
+        _assert_same_bits(_read_csv(out, "index,eigenvalue"),
+                          np.column_stack((np.arange(xi.size), xi)))
 
     def test_default_grid(self):
         g = default_grid(Rect(0.0, 20.0, 0.0, 12.0))
@@ -525,7 +613,6 @@ class TestDistanceFunctions:
         j = J_hat(p, grid)
         assert j.r.size < grid.size  # saturated/ineligible radii dropped
         assert j.r.size > 0
-        assert j.warning is None
         f = F_hat(p, grid)
         keep = np.isfinite(f.values) & (f.values < 1.0)
         np.testing.assert_array_equal(j.r, grid[keep])
