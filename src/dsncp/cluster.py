@@ -157,6 +157,29 @@ def sample_centres(m: ModelParams, w: Window, ext: Extension,
                         Disc(cx, cy, w_ext.circumradius)).restrict(w_ext)
 
 
+# The largest expected centre count rho_Y |W_ext| and point count
+# rho_X |W_ext| that sample_model draws, W_ext the extended window. A draw
+# at the point limit holds a few arrays of 1e7 coordinate pairs (160 MB
+# each); the largest models the tests and benchmark draw stay below 1e4.
+# The limits are fixed here, not read from the machine, so whether a model
+# is refused does not depend on where it runs.
+MAX_EXPECTED_CENTRES = 1e7
+MAX_EXPECTED_POINTS = 1e7
+
+
+def _check_size(m: ModelParams, w_ext: Window) -> None:
+    """Refuse a model whose expected centre or point count on ``w_ext``
+    exceeds its limit, naming the quantity, its value and the limit."""
+    for name, value, limit in (
+            ("centre count rho_Y |W_ext|", m.rho_Y * w_ext.area,
+             MAX_EXPECTED_CENTRES),
+            ("point count rho_X |W_ext|", m.rho_X * w_ext.area,
+             MAX_EXPECTED_POINTS)):
+        if not value <= limit:
+            raise ParameterError(
+                f"expected {name} is {value:.6g}, above the limit {limit:.6g}")
+
+
 def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,
                  rng: RngStream | None = None) -> PointPattern:
     """Simulate the cluster process on ``w``.
@@ -164,11 +187,15 @@ def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,
     Centres are drawn on the extended window (default margin 4*alpha),
     cluster sizes in centre order, then all offspring displacements in one
     draw; the union is clipped to ``w``. Deterministic given the stream.
+    A model expected to draw more than ``MAX_EXPECTED_CENTRES`` centres or
+    ``MAX_EXPECTED_POINTS`` points on the extended window is refused with
+    a ParameterError before anything is drawn.
     """
     if ext is None:
         ext = default_extension(m)
     if rng is None:
         raise ParameterError("an RngStream is required")
+    _check_size(m, w.grow(ext.margin))
     centres = sample_centres(m, w, ext, rng)
     gen = rng.generator
     sizes = gen.poisson(m.gamma, centres.n) if centres.n else np.zeros(0, int)

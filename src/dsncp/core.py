@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -256,6 +257,13 @@ class PointPattern:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def tree(self):
+        """A ``scipy.spatial.cKDTree`` of the points, built on first use and
+        then shared by every estimator that queries this pattern."""
+        from scipy.spatial import cKDTree
+        return cKDTree(self.points)
 
     def restrict(self, w: Window) -> "PointPattern":
         keep = w.contains(self.points) if self.n else np.zeros(0, dtype=bool)

@@ -438,9 +438,11 @@ class StudyResume(NamedTuple):
     errors_path: Path
 
 
-def _read_study_rows(path: Path) -> dict[tuple, list[str]]:
+def _read_study_rows(path: Path, keys: set[tuple]) -> dict[tuple, list[str]]:
     """The rows of an existing study CSV, each row's cells keyed by its first
-    five columns; %.17g round-trips them exactly."""
+    five columns; %.17g round-trips them exactly. A row whose key is not in
+    ``keys``, the cells of the current config, or repeats an earlier row's
+    raises InputFileError: the rewrite would drop it."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -458,6 +460,12 @@ def _read_study_rows(path: Path) -> dict[tuple, list[str]]:
         except ValueError:
             raise InputFileError(f"{path}: line {num}: malformed study row"
                                  ) from None
+        if key in have or key not in keys:
+            why = ("repeats an earlier row" if key in have
+                   else "is not a cell of this study's config")
+            raise InputFileError(f"{path}: line {num}: row "
+                                 f"{','.join(parts[:5])} {why}; resuming "
+                                 f"would drop it")
         have[key] = parts
     return have
 
@@ -469,7 +477,8 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     streams, and their fresh errors replace their old ones in the
     ``.errors.json`` sidecar. Rows are written in cell order, so a resumed
     study reproduces the uninterrupted one byte for byte. An unreadable row
-    or sidecar raises InputFileError naming the file and line.
+    or sidecar, or a row that is not a cell of ``config`` or repeats one,
+    raises InputFileError naming the file and line before any cell runs.
     """
     out = Path(path)
     sidecar = (out.with_suffix(".errors.json") if out.suffix != ".json"
@@ -477,7 +486,8 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     cells = list(config.cells())
     keys_of_cell = {idx: [(fam.value, ff.value, a, g, r) for ff in fitted]
                     for idx, fam, a, g, r, fitted in cells}
-    have = _read_study_rows(out) if out.exists() else {}
+    known = {k for keys in keys_of_cell.values() for k in keys}
+    have = _read_study_rows(out, known) if out.exists() else {}
     todo = {idx for idx, keys in keys_of_cell.items()
             if not all(k in have for k in keys)}
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cluster import ModelParams
 from .core import (
@@ -116,6 +115,43 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
+def _grid_index(grid: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(grid, x, side)`` for a sorted ``grid`` and ``x``
+    without NaN, at a fraction of its cost on a uniform grid (``linspace``,
+    as every grid the pipeline builds is).
+
+    The candidate index is arithmetic: ceil((x - g0) / step) for ``left``,
+    floor(...) + 1 for ``right``, clipped to [0, g] before the integer cast
+    (so inf maps to g). It is then checked against the grid's own values,
+    and a candidate that is off moves one place toward the right index.
+    On a uniform grid rounding leaves few candidates off, each by one; a
+    value still unresolved after the move (on a grid far from uniform)
+    takes ``searchsorted``. So the result is exact on every sorted grid.
+    """
+    g = grid.size
+    step = (grid[-1] - grid[0]) / (g - 1) if g > 1 else 0.0
+    if not 0.0 < step < math.inf:
+        return np.searchsorted(grid, x, side=side)
+    t = (x - grid[0]) / step
+    cand = np.ceil(t) if side == "left" else np.floor(t) + 1.0
+    i = np.clip(cand, 0, g, out=cand).astype(np.intp)
+    # i is right iff below[i] < x <= above[i] (left side; <= and < for
+    # right); the NaN ends never compare true, so 0 and g never move out
+    below = np.concatenate(([np.nan], grid))
+    above = np.concatenate((grid, [np.nan]))
+    high, low = ((np.greater_equal, np.less) if side == "left"
+                 else (np.greater, np.less_equal))
+    up = low(above[i], x)
+    moved = np.flatnonzero(up | high(below[i], x))
+    if moved.size:
+        j = i[moved] + np.where(up[moved], 1, -1)
+        xm = x[moved]
+        off = high(below[j], xm) | low(above[j], xm)
+        j[off] = np.searchsorted(grid, xm[off], side=side)
+        i[moved] = j
+    return i
+
+
 def _translation_pairs(p: PointPattern, rmax: float):
     """Distances and translation weights of the point pairs within rmax.
 
@@ -125,8 +161,7 @@ def _translation_pairs(p: PointPattern, rmax: float):
     """
     # the tree rounds distances its own way: search a hair wider, then
     # keep hypot(h) <= rmax exactly
-    ij = cKDTree(p.points).query_pairs(rmax * (1.0 + 1e-9),
-                                       output_type="ndarray")
+    ij = p.tree.query_pairs(rmax * (1.0 + 1e-9), output_type="ndarray")
     h = p.points[ij[:, 0]] - p.points[ij[:, 1]]
     d = np.hypot(h[:, 0], h[:, 1])
     cov = p.window.set_covariance(h)
@@ -146,7 +181,7 @@ def K_hat(p: PointPattern, grid) -> SummaryCurve:
     if grid.size == 0:
         return SummaryCurve(grid, np.zeros(0), "K")
     d, wgt = _translation_pairs(p, float(grid[-1]))
-    idx = np.searchsorted(grid, d, side="left")
+    idx = _grid_index(grid, d, "left")
     hist = np.bincount(idx, weights=wgt, minlength=grid.size)
     vals = np.cumsum(hist) * p.window.area ** 2 / (p.n * (p.n - 1))
     return SummaryCurve(grid, vals, "K")
@@ -223,10 +258,9 @@ def _lattice(w: Window) -> _Lattice:
 _SCATTER_BLOCK = 16
 
 
-def _lattice_distances(points: np.ndarray, lat: _Lattice,
-                       area: float) -> np.ndarray:
-    """Distance from each lattice point to the nearest of ``points``, equal
-    bit for bit to ``cKDTree(points).query(lat.points)[0]``.
+def _lattice_distances(p: PointPattern, lat: _Lattice) -> np.ndarray:
+    """Distance from each lattice point to the nearest point of ``p``, equal
+    bit for bit to ``cKDTree(p.points).query(lat.points)[0]``.
 
     Each data point writes ``dx*dx + dy*dy`` (the tree's own formula) onto
     the lattice points of a square stencil of half-width w cells around
@@ -236,15 +270,17 @@ def _lattice_distances(points: np.ndarray, lat: _Lattice,
     the grid per axis. It reaches every lattice point within (w + 1/2) h
     of its data point along both axes, so a least value at most (w h)^2 is
     the exact nearest squared distance. Only the lattice points above it
-    are queried with a k-d tree. The scatter is one ``np.minimum.at`` per
-    block of points, which is fast from numpy 1.25 on.
+    are queried, with the pattern's own k-d tree ``p.tree``, which G and K
+    share. The scatter is one ``np.minimum.at`` per block of points,
+    which is fast from numpy 1.25 on; each entry's cell index is its
+    point's first stencil cell plus the stencil's fixed offset.
     """
-    n = points.shape[0]
+    n, points = p.n, p.points
     if n == 0:
         return np.full(lat.points.shape[0], np.inf)
     h, xs, ys = lat.h, lat.xs, lat.ys
     nx, ny = xs.size, ys.size
-    w = math.ceil(math.sqrt(2.3 * area / (math.pi * n)) / h)
+    w = math.ceil(math.sqrt(2.3 * p.window.area / (math.pi * n)) / h)
     wx, wy = min(2 * w + 1, nx), min(2 * w + 1, ny)
     # first stencil column and row of each point: its nearest lattice
     # point's minus w, shifted to keep the stencil on the grid
@@ -252,6 +288,8 @@ def _lattice_distances(points: np.ndarray, lat: _Lattice,
     cy = np.floor((points[:, 1] - ys[0]) / h + 0.5)
     x0 = np.clip(cx - w, 0, nx - wx).astype(np.intp)
     y0 = np.clip(cy - w, 0, ny - wy).astype(np.intp)
+    base = y0 * nx + x0
+    off = ((np.arange(wy) * nx)[:, None] + np.arange(wx)).ravel()
     best = np.full(nx * ny, np.inf)
     block = max(1, _SCATTER_BLOCK * nx * ny // (wx * wy))
     for s in range(0, n, block):
@@ -260,29 +298,58 @@ def _lattice_distances(points: np.ndarray, lat: _Lattice,
         dx = xs[sx] - points[s:s + block, 0, None]
         dy = ys[sy] - points[s:s + block, 1, None]
         d2 = (dx * dx)[:, None, :] + (dy * dy)[:, :, None]
-        cell = (sy * nx)[:, :, None] + sx[:, None, :]
+        cell = base[s:s + block, None] + off
         np.minimum.at(best, cell.ravel(), d2.ravel())
     d2 = best[lat.flat]
     dist = np.sqrt(d2)
     rest = np.flatnonzero(d2 > (w * h) ** 2)
     if rest.size:
-        dist[rest] = cKDTree(points).query(lat.points[rest])[0]
+        dist[rest] = p.tree.query(lat.points[rest])[0]
     return dist
 
 
-def _border_corrected_fraction(dist: np.ndarray, bdist: np.ndarray,
+class _Eligibility(NamedTuple):
+    """Which reference points are eligible at which radius: a point with
+    boundary distance b is eligible at r_k exactly when k <= ``b_idx``, and
+    ``counts[k]`` points are eligible at r_k."""
+
+    b_idx: np.ndarray
+    counts: np.ndarray
+
+
+def _eligibility(bdist: np.ndarray, grid: np.ndarray) -> _Eligibility:
+    """The eligibility of reference points with boundary distances
+    ``bdist`` on ``grid``."""
+    b_idx = _grid_index(grid, bdist, "right") - 1  # bdist >= r_k iff k <= b_idx
+    counts = np.cumsum(np.bincount(b_idx[b_idx >= 0],
+                                   minlength=grid.size)[::-1])[::-1]
+    return _Eligibility(b_idx, counts)
+
+
+@lru_cache(maxsize=16)
+def _lattice_eligibility(w: Window, grid_bytes: bytes) -> _Eligibility:
+    """The eligibility of ``w``'s test lattice on the grid whose float64
+    bytes are ``grid_bytes``: it depends on the window and the grid only,
+    so every F curve on them shares it. Both arrays are read-only."""
+    elig = _eligibility(_lattice(w).bdist, np.frombuffer(grid_bytes))
+    for a in elig:
+        a.setflags(write=False)
+    return elig
+
+
+def _border_corrected_fraction(dist: np.ndarray, elig: _Eligibility,
                                grid: np.ndarray) -> np.ndarray:
-    """For each r: among reference points with boundary distance >= r, the
-    fraction whose measured distance is <= r (NaN when none qualify).
+    """For each r: among reference points eligible at r (boundary distance
+    >= r), the fraction whose measured distance is <= r (NaN when none
+    qualify).
 
     A point counts at r_k exactly when d_idx <= k <= b_idx, one interval of
     grid indices, so a difference array (+1 at d_idx, -1 at b_idx + 1) and
     one cumulative sum give every numerator: O(len + grid) in all.
     """
     g = grid.size
-    b_idx = np.searchsorted(grid, bdist, side="right") - 1  # bdist >= r_k iff k <= b_idx
-    d_idx = np.searchsorted(grid, dist, side="left")        # dist <= r_k iff k >= d_idx
-    eligible = np.cumsum(np.bincount(b_idx[b_idx >= 0], minlength=g)[::-1])[::-1]
+    b_idx, eligible = elig
+    d_idx = _grid_index(grid, dist, "left")  # dist <= r_k iff k >= d_idx
     hit = d_idx <= b_idx
     num = np.cumsum(np.bincount(d_idx[hit], minlength=g + 1)
                     - np.bincount(b_idx[hit] + 1, minlength=g + 1))[:g]
@@ -299,23 +366,32 @@ def F_hat(p: PointPattern, grid) -> SummaryCurve:
     equal bit for bit to a k-d tree query: each data point scatters its
     squared distance onto a stencil of nearby lattice points, a least value
     within the stencils' reach is the true one, and only the lattice points
-    beyond it are queried with the tree (see ``_lattice_distances``).
+    beyond it are queried, with the pattern's shared k-d tree ``p.tree``
+    (see ``_lattice_distances``). Which lattice points are eligible at
+    which radius depends on the window and grid only, so it is computed
+    once per window and grid and cached (``_lattice_eligibility``).
     """
     grid = _check_grid(grid)
     lat = _lattice(p.window)
-    dist = _lattice_distances(p.points, lat, p.window.area)
-    vals = _border_corrected_fraction(dist, lat.bdist, grid)
+    dist = _lattice_distances(p, lat)
+    elig = _lattice_eligibility(p.window, grid.tobytes())
+    vals = _border_corrected_fraction(dist, elig, grid)
     return SummaryCurve(grid, vals, "F")
 
 
 def G_hat(p: PointPattern, grid) -> SummaryCurve:
-    """Border-corrected nearest-neighbour distance distribution."""
+    """Border-corrected nearest-neighbour distance distribution.
+
+    The nearest-neighbour distances come from the pattern's shared k-d tree
+    ``p.tree``, which F and K reuse. The reference points are the data
+    themselves, so their eligibility is computed afresh for each pattern.
+    """
     if p.n < 2:
         raise InsufficientPointsError(f"G_hat needs n >= 2, got n={p.n}")
     grid = _check_grid(grid)
-    dist, _ = cKDTree(p.points).query(p.points, k=2)
-    bdist = p.window.boundary_distance(p.points)
-    vals = _border_corrected_fraction(dist[:, 1], bdist, grid)
+    dist, _ = p.tree.query(p.points, k=2)
+    elig = _eligibility(p.window.boundary_distance(p.points), grid)
+    vals = _border_corrected_fraction(dist[:, 1], elig, grid)
     return SummaryCurve(grid, vals, "G")
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dsncp.cluster
+import dsncp.envelope
 from dsncp.cli import (
     _build_model,
     _load_fit,
@@ -26,6 +27,7 @@ from dsncp.cli import (
 )
 from dsncp.cluster import Family
 from dsncp.core import Disc, ParameterError, PointPattern, Rect
+from dsncp.envelope import STUDY_CSV_HEADER
 
 
 def run_cli(args):
@@ -258,8 +260,11 @@ class TestSimulate:
         (SIM + ["--window", "disc:0,0,inf"], 2, "radius must be finite"),
         (["curves", "--model", "thomas", "--alpha", "inf", "--gamma", 2,
           "--rhoY", 10, "--stat", "K"], 3, "alpha must be finite"),
+        # finite, but far beyond what can be drawn
+        (SIM + ["--rhoY", "1e300"], 3, "expected centre count rho_Y |W_ext|"),
+        (SIM + ["--gamma", "1e300"], 3, "expected point count rho_X |W_ext|"),
     ], ids=["alpha", "gamma", "rhoY", "rhoX", "beta", "ext", "rect", "disc",
-            "curves-alpha"])
+            "curves-alpha", "huge-rhoY", "huge-gamma"])
     def test_non_finite_input_is_refused(self, argv, code, message, tmp_path,
                                          capsys):
         # later flags override earlier ones, so each case swaps one value
@@ -618,6 +623,37 @@ class TestStudy:
         assert rc == 2
         assert str(errors) in capsys.readouterr().err
         assert not out.exists()  # refused before any cell ran
+
+    @pytest.mark.parametrize("rows,message", [
+        # a row of an alpha = 0.5 cell, resumed with a config whose only
+        # alpha is 0.05
+        (["thomas,thomas,0.5,6,50,0,1.0312"],
+         "line 2: row thomas,thomas,0.5,6,50 is not a cell"),
+        (["thomas,thomas,0.05,6,50,0,1.0312",
+          "thomas,thomas,0.05,6,50,0.5,0.98"],
+         "line 3: row thomas,thomas,0.05,6,50 repeats an earlier row"),
+    ], ids=["other-config", "repeated"])
+    def test_row_the_rewrite_would_drop_exits_2(self, rows, message, tmp_path,
+                                                capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "alpha_values": [0.05]}))
+        out = tmp_path / "study.csv"
+        sidecar = tmp_path / "study.errors.json"
+        out.write_text("\n".join([STUDY_CSV_HEADER, *rows]) + "\n")
+        sidecar.write_text(json.dumps([{
+            "true_family": "thomas", "fitted_family": "thomas", "alpha": 0.5,
+            "gamma": 6.0, "rhoY": 50.0, "replicate": 1, "stage": "fit/test",
+            "error": "no convergence"}]))
+        before = out.read_bytes(), sidecar.read_bytes()
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(dsncp.envelope, "run_study", no_cells)
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: {message}" in err
+        assert (out.read_bytes(), sidecar.read_bytes()) == before
 
     def test_unreadable_output_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

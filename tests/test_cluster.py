@@ -210,3 +210,37 @@ class TestSampleModel:
     def test_requires_rng(self):
         with pytest.raises(ParameterError):
             sample_model(thomas(), UNIT)
+
+
+class TestSizeLimits:
+    """Models too large to draw are refused before any draw."""
+
+    @pytest.mark.parametrize("m,quantity", [
+        (thomas(gamma=2.0, alpha=0.03, rho_Y=1e300), "centre count"),
+        (thomas(gamma=1e300, alpha=0.03, rho_Y=50.0), "point count"),
+        (thomas(gamma=1e4, alpha=0.03, rho_Y=1e4), "point count"),
+    ])
+    def test_refused_before_any_draw(self, m, quantity, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"gen.{name} reached")
+
+        monkeypatch.setattr(RngStream, "generator",
+                            property(lambda self: NoDraws()))
+        with pytest.raises(ParameterError, match=quantity) as err:
+            sample_model(m, UNIT, rng=RngStream(1))
+        assert "limit 1e+07" in str(err.value)
+
+    def test_largest_drawn_models_are_far_below_the_limits(self):
+        # criterion 4 (20 x 20 window), the large-pattern benchmark
+        # workload (whiteoak's Thomas fit on a 3.3 x 3.3 square) and
+        # criterion 6's cells (gamma = rho = 50 on the unit square)
+        for m, w in (
+                (ModelParams.most_repulsive(Family.GINIBRE, 9.0 * math.pi,
+                                            1.0, 3.0), Rect(0, 20, 0, 20)),
+                (thomas(gamma=2.19, alpha=0.03, rho_Y=204.11),
+                 Rect(0, 3.3, 0, 3.3)),
+                (thomas(gamma=50.0, alpha=0.05, rho_Y=50.0), UNIT)):
+            w_ext = w.grow(default_extension(m).margin)
+            assert m.rho_Y * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_CENTRES
+            assert m.rho_X * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_POINTS

@@ -18,7 +18,13 @@ from scipy import integrate
 from scipy.spatial import cKDTree
 
 from dsncp.cli import main as cli_main
-from dsncp.cluster import Family, ModelParams, centre_spectrum, default_extension
+from dsncp.cluster import (
+    Family,
+    ModelParams,
+    centre_spectrum,
+    default_extension,
+    sample_model,
+)
 from dsncp.core import (
     Disc,
     InsufficientPointsError,
@@ -44,8 +50,11 @@ from dsncp.summaries import (
     K_theoretical,
     SummaryCurve,
     _border_corrected_fraction,
+    _eligibility,
+    _grid_index,
     _lattice,
     _lattice_distances,
+    _lattice_eligibility,
     _translation_pairs,
     default_grid,
     default_pcf_bandwidth,
@@ -558,7 +567,7 @@ class TestDistanceFunctions:
         bdist = np.array(data.draw(st.lists(
             st.sampled_from(around.tolist() + [-1e-13]),
             min_size=n, max_size=n)), dtype=float)
-        got = _border_corrected_fraction(dist, bdist, grid)
+        got = _border_corrected_fraction(dist, _eligibility(bdist, grid), grid)
         want = self.naive_fraction(dist, bdist, grid)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -709,7 +718,7 @@ class TestLatticeDistances:
     def test_equal_to_tree_and_brute_force(self, w, data):
         lat = _lattice(w)
         pts = _awkward_pattern(w, data)
-        got = _lattice_distances(pts, lat, w.area)
+        got = _lattice_distances(PointPattern(pts, w), lat)
         assert np.array_equal(got, cKDTree(pts).query(lat.points)[0])
         # brute force with the tree's formula, over a sample of the lattice
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -739,8 +748,88 @@ class TestLatticeDistances:
         p = PointPattern(UNIT.sample_uniform(100_000, gen), UNIT)
         lat = _lattice(UNIT)
         dist = cKDTree(p.points).query(lat.points)[0]
-        assert np.array_equal(_lattice_distances(p.points, lat, UNIT.area), dist)
+        assert np.array_equal(_lattice_distances(p, lat), dist)
         grid = np.linspace(0.0, 0.01, 41)
+        elig = _eligibility(lat.bdist, grid)
         assert np.array_equal(F_hat(p, grid).values,
-                              _border_corrected_fraction(dist, lat.bdist, grid),
+                              _border_corrected_fraction(dist, elig, grid),
                               equal_nan=True)
+
+    def test_eligibility_is_cached_per_window_and_grid(self):
+        grid = np.linspace(0.013, 0.25, 300)
+        elig = _lattice_eligibility(DISC, grid.tobytes())
+        assert _lattice_eligibility(DISC, grid.copy().tobytes()) is elig
+        want = _eligibility(_lattice(DISC).bdist, grid)
+        for got, exp in zip(elig, want):
+            assert np.array_equal(got, exp)
+            assert not got.flags.writeable
+
+
+class TestGridIndex:
+    """``_grid_index`` is ``np.searchsorted``, on uniform grids and off."""
+
+    @staticmethod
+    def pool(grid, rng):
+        """Grid points and their neighbours one ulp either side, +inf,
+        values below the first point, and uniform values around the grid."""
+        return np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+            [np.inf, grid[0] / 2, grid[0] - 1.0, 0.0],
+            rng.uniform(grid[0] - 0.1, grid[-1] + 0.1, 200)])
+
+    @staticmethod
+    def check(grid, x):
+        for side in ("left", "right"):
+            got = _grid_index(grid, x, side)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(grid, x, side=side))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_searchsorted(self, data):
+        g = data.draw(st.one_of(st.integers(1, 2), st.integers(3, 700)))
+        start = data.draw(st.sampled_from([0.0, 0.013, 0.3, 1.0 / 3]))
+        span = data.draw(st.sampled_from([1e-3, 0.1, 0.25, 7.0 / 3]))
+        if data.draw(st.booleans()):
+            grid = np.linspace(start, start + span, g)
+        else:  # geometric: far from uniform
+            grid = np.geomspace(start + 1e-3, start + 1e-3 + span, g)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        pool = self.pool(grid, rng)
+        pick = data.draw(st.lists(st.integers(0, pool.size - 1),
+                                  max_size=300))
+        self.check(grid, pool[np.array(pick, dtype=np.intp)])
+
+    @pytest.mark.parametrize("grid", [
+        np.array([0.0]), np.array([0.013]), np.array([0.0, 0.25]),
+        np.array([0.013, 0.1]), np.linspace(0.013, 0.25, 513),
+        np.geomspace(1e-4, 1.0, 513)])
+    def test_fixed_grids_and_empty_x(self, grid):
+        self.check(grid, self.pool(grid, np.random.default_rng(5)))
+        self.check(grid, np.zeros(0))
+
+
+class TestSharedTree:
+    def test_one_tree_per_pattern(self, monkeypatch):
+        import scipy.spatial
+        built, queried = [], []
+
+        class Counting(cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+            def query(self, *args, **kwargs):
+                queried.append(args)
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
+        # tight clusters leave much of the lattice beyond the stencils'
+        # reach, so F queries the tree as well as G and K
+        m = ModelParams(Family.THOMAS, gamma=50.0, alpha=0.03, rho_Y=50.0)
+        p = sample_model(m, UNIT, rng=RngStream(seed=17))
+        grid = default_grid(UNIT)
+        K_hat(p, grid)
+        J_hat(p, grid)
+        assert len(built) == 1
+        assert len(queried) == 2  # F's uncertified lattice points, then G
