@@ -43,7 +43,6 @@ from .envelope import StudyConfig, envelope_test, resume_study
 from .fit import ContrastOptions, FitResult, min_contrast_fit
 from .summaries import (
     STATISTICS,
-    K_hat,
     K_theoretical,
     pcf_crossover_radius,
     pcf_theoretical,
@@ -250,9 +249,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                  if getattr(args, name) is not None}
     opts = ContrastOptions.for_window(args.window, **overrides)
     families = list(Family) if args.all_families else [Family(args.family)]
-    k_emp = K_hat(pattern, opts.grid())
-    fits = [min_contrast_fit(pattern, fam, options=opts, k_hat=k_emp)
-            for fam in families]
+    fits = [min_contrast_fit(pattern, fam, options=opts) for fam in families]
     if args.output:
         if len(fits) == 1:
             payload = fits[0].to_dict()

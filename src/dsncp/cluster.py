@@ -44,6 +44,12 @@ class Family(str, Enum):
     GAUSSIAN = "gaussian-dpp-thomas"
     GINIBRE = "ginibre-dpp-thomas"
 
+    @classmethod
+    def _missing_(cls, value):
+        # Family(value) raises this in place of Enum's bare ValueError
+        raise ParameterError(f"unknown family {value!r}; choose one of "
+                             f"{[f.value for f in cls]}")
+
     @property
     def is_dpp(self) -> bool:
         return self is not Family.THOMAS

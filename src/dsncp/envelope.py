@@ -14,13 +14,19 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import Family, ModelParams, sample_model
+from .cluster import (
+    Family,
+    ModelParams,
+    _check_size,
+    default_extension,
+    sample_model,
+)
 from .core import (
     InputFileError,
     ParameterError,
@@ -28,13 +34,14 @@ from .core import (
     Rect,
     RejectionBoundError,
     RngStream,
+    check_positive,
     csv_line,
     csv_text,
     read_json,
     write_json,
 )
 from .dpp import max_admissible_beta
-from .fit import ContrastOptions, FitResult, min_contrast_fit
+from .fit import FitResult, min_contrast_fit
 from .summaries import (
     STATISTICS,
     F_hat,
@@ -153,9 +160,13 @@ class EnvelopeResult:
 
 
 def _check_level(n_sim: int, level: float) -> None:
-    """Refuse a level at which ``n_sim`` simulations leave no envelope."""
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must be in (0, 1), got {level}")
+    """Refuse a level at which ``n_sim`` simulations leave no envelope, and
+    fewer than 99 simulations at the default level 0.95."""
+    if not (isinstance(level, Real) and 0.0 < level < 1.0):
+        raise ParameterError(f"level must be in (0, 1), got {level!r}")
+    if level == 0.95 and n_sim + 1 < 100:
+        raise ParameterError(
+            f"need at least 99 simulations at level 0.95, got {n_sim}")
     # 1e-9 nudges keep products like 0.8 * 5 from falling off an integer
     if math.floor((1.0 - level) * (n_sim + 1) + 1e-9) < 1:
         raise ParameterError(
@@ -224,17 +235,16 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
     (one RngStream substream each, so results are independent of execution
     order), evaluates the chosen statistic everywhere on a shared grid, and
     runs the global envelope. 2499 simulations is the recommended default;
-    199 is a usable fast mode.
+    199 is a usable fast mode. A model too large for ``sample_model`` to
+    draw is refused before the observed curve is computed.
     """
     if rng is None:
         raise ParameterError("an RngStream is required")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if level == 0.95 and n_sim + 1 < 100:
-        raise ParameterError(
-            f"need at least 99 simulations at level 0.95, got {n_sim}")
     _check_level(n_sim, level)
     model = fitted.model() if isinstance(fitted, FitResult) else fitted
+    _check_size(model, p.window.grow(default_extension(model).margin))
     grid = default_grid(p.window)
     bandwidth = None
     if statistic == "pcf":
@@ -279,15 +289,22 @@ class StudyConfig:
             object.__setattr__(self, "fitted_families",
                                tuple(Family(f) for f in self.fitted_families))
         for name in ("alpha_values", "gamma_values", "rho_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not vals or any(v <= 0 for v in vals):
-                raise ParameterError(f"{name} must be positive and non-empty")
+            try:
+                vals = tuple(float(v) for v in getattr(self, name))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a list of numbers, got "
+                                     f"{getattr(self, name)!r}") from None
+            if not vals:
+                raise ParameterError(f"{name} must be non-empty")
+            for v in vals:
+                check_positive(name, v)
             object.__setattr__(self, name, vals)
         for name in ("replicates", "n_sim", "jobs"):
             v = getattr(self, name)
             if not isinstance(v, Integral) or v < 1:
                 raise ParameterError(
                     f"{name} must be an integer >= 1, got {v!r}")
+        _check_level(self.n_sim, self.level)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
 
@@ -353,8 +370,7 @@ def _true_model(family: Family, gamma: float, alpha: float,
 
 # what a replicate may fail with and still leave the study running; any
 # other exception is a bug and propagates
-_REPLICATE_FAILURES = (ParameterError, RejectionBoundError,
-                       np.linalg.LinAlgError)
+_REPLICATE_FAILURES = (ParameterError, RejectionBoundError)
 
 
 def run_study(config: StudyConfig,
@@ -364,9 +380,9 @@ def run_study(config: StudyConfig,
     For every true family and parameter combination, each replicate
     simulates one pattern, fits the configured other families by minimum
     contrast, and envelope-tests each fit. A replicate that fails with a
-    parameter, rejection-bound or linear-algebra error is recorded and
-    skipped, never fatal. Emits rejection rates and mean
-    fitted-to-true centre intensity ratios per cell.
+    parameter or rejection-bound error is recorded and skipped, never
+    fatal. Emits rejection rates and mean fitted-to-true centre intensity
+    ratios per cell.
 
     ``cell_indices`` restricts execution to those positions of the full
     (families x alphas x gammas x rhos) cell enumeration without changing
@@ -374,7 +390,6 @@ def run_study(config: StudyConfig,
     cell reproduces the uninterrupted run bit for bit.
     """
     base = RngStream(seed=config.seed)
-    fit_grid = ContrastOptions.for_window(config.window).grid()
     rows: list[StudyRow] = []
     errors: list[dict] = []
     for cell_idx, fam_true, alpha, gamma, rho, fitted_families in config.cells():
@@ -393,12 +408,9 @@ def run_study(config: StudyConfig,
                                "gamma": gamma, "rhoY": rho, "replicate": rep,
                                "stage": "simulate", "error": str(exc)})
                 continue
-            # one K_hat serves every fit; below n = 2 each fit records
-            # its own refusal
-            k_emp = K_hat(pattern, fit_grid) if pattern.n >= 2 else None
             for k, fam_fit in enumerate(fitted_families):
                 try:
-                    fit = min_contrast_fit(pattern, fam_fit, k_hat=k_emp)
+                    fit = min_contrast_fit(pattern, fam_fit)
                     res = envelope_test(pattern, fit,
                                         statistic=config.statistic,
                                         n_sim=config.n_sim,

@@ -22,7 +22,7 @@ from .core import (
     ParameterError,
     PointPattern,
 )
-from .summaries import K_hat, K_theoretical, SummaryCurve
+from .summaries import K_hat, K_theoretical
 
 _PENALTY = 1e12
 
@@ -161,15 +161,12 @@ def _log_starts(bounds: tuple[float, float]) -> np.ndarray:
 
 
 def min_contrast_fit(p: PointPattern, family: Family | str,
-                     options: ContrastOptions | None = None,
-                     k_hat: SummaryCurve | None = None) -> FitResult:
+                     options: ContrastOptions | None = None) -> FitResult:
     """Fit one family by minimum contrast on the empirical K function.
 
     Nelder-Mead in log parameter space from a 3 x 3 grid of starts; the
     reported convergence flag reflects the winning run (relative simplex
     diameter below 1e-6). Ties on the objective prefer smaller alpha.
-    A given ``k_hat`` must be on the contrast grid ``options.grid()``, so
-    that one K_hat can serve every family's fit.
     """
     # imported on first use: only fitting needs it, and loading it with the
     # package would add about 0.15 s to every dsncp process
@@ -180,12 +177,7 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
         raise InsufficientPointsError(f"fitting needs n >= 2, got n={p.n}")
     opts = options or ContrastOptions.for_window(p.window)
     grid = opts.grid()
-    if k_hat is None:
-        k_hat = K_hat(p, grid)
-    elif not np.array_equal(k_hat.r, grid):
-        raise ParameterError("empirical curve is not on the contrast grid "
-                             "options.grid()")
-    emp_q = k_hat.values ** opts.q
+    emp_q = K_hat(p, grid).values ** opts.q
 
     a_bounds = opts.resolved_alpha_bounds()
     if family is Family.THOMAS:

@@ -174,17 +174,28 @@ def K_hat(p: PointPattern, grid) -> SummaryCurve:
 
     K_hat(r) = |W|^2/(n(n-1)) * sum over ordered pairs of
     1[dist <= r] / area(W intersect W shifted by the pair difference).
+
+    The pattern keeps its last curve, keyed by the grid's float64 bytes, as
+    it keeps its k-d tree ``p.tree``: a second call on the same pattern and
+    grid returns that (read-only) curve, so every fit of one pattern shares
+    one pair search, and any other grid recomputes and replaces it.
     """
     if p.n < 2:
         raise InsufficientPointsError(f"K_hat needs n >= 2, got n={p.n}")
     grid = _check_grid(grid)
+    key = grid.tobytes()
+    last = vars(p).get("_K_hat")
+    if last is not None and last[0] == key:
+        return last[1]
     if grid.size == 0:
         return SummaryCurve(grid, np.zeros(0), "K")
     d, wgt = _translation_pairs(p, float(grid[-1]))
     idx = _grid_index(grid, d, "left")
     hist = np.bincount(idx, weights=wgt, minlength=grid.size)
     vals = np.cumsum(hist) * p.window.area ** 2 / (p.n * (p.n - 1))
-    return SummaryCurve(grid, vals, "K")
+    curve = SummaryCurve(grid, vals, "K")
+    vars(p)["_K_hat"] = (key, curve)
+    return curve
 
 
 def default_pcf_bandwidth(p: PointPattern) -> float:

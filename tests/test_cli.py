@@ -487,6 +487,34 @@ class TestEnvelope:
         assert "'thomas'" in err and "'ginibre-dpp-thomas'" in err
         assert not (tmp_path / "e.csv").exists()
 
+    def test_fit_of_unknown_family_exits_2(self, pattern_csv, fit_json,
+                                           tmp_path, capsys):
+        bogus = tmp_path / "bogus.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        bogus.write_text(json.dumps({**fit, "family": "bogus"}))
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", bogus,
+                      "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 2
+        assert f"{bogus}: not a fit result: unknown family 'bogus'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_oversized_fit_exits_3(self, pattern_csv, fit_json, tmp_path,
+                                   capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("envelope simulated before refusing")
+        monkeypatch.setattr(dsncp.envelope, "sample_model", no_draws)
+        huge = tmp_path / "huge.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        huge.write_text(json.dumps({**fit, "rhoY": 1e300}))
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", huge,
+                      "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 3
+        assert "expected centre count" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_nonpositive_jobs_exits_2(self, jobs, pattern_csv, fit_json,
                                       tmp_path, capsys):
@@ -580,12 +608,15 @@ class TestStudy:
         assert "0 run" in capsys.readouterr().out
         assert out.read_text() == full
 
-    def test_resume_replaces_errors_of_rerun_cells(self, tmp_path, capsys):
-        # n_sim = 19 is below the level-0.95 floor, so every replicate fails
+    def test_resume_replaces_errors_of_rerun_cells(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a test that refuses every fit makes every replicate fail
+        def refused(*args, **kwargs):
+            raise ParameterError("refused for the test")
+        monkeypatch.setattr(dsncp.envelope, "envelope_test", refused)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            **self.CONFIG, "alpha_values": [0.05], "gamma_values": [6.0, 7.0],
-            "n_sim": 19}))
+            **self.CONFIG, "alpha_values": [0.05], "gamma_values": [6.0, 7.0]}))
         out = tmp_path / "study.csv"
         sidecar = tmp_path / "study.errors.json"
         assert run_cli(["study", "--config", cfg, "-o", out, "--quiet"]) == 0
@@ -674,6 +705,29 @@ class TestStudy:
         cfg.write_text(json.dumps({**self.CONFIG, "jobs": jobs}))
         assert run_cli(["study", "--config", cfg, "-o", out]) == 2
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"level": 1.5}, "level must be in (0, 1), got 1.5"),
+        ({"n_sim": 10}, "need at least 99 simulations at level 0.95, got 10"),
+        ({"alpha_values": [0.05, math.inf]},
+         "alpha_values must be finite and > 0, got inf"),
+        ({"gamma_values": ["x"]}, "gamma_values must be a list of numbers"),
+        ({"families": ["bogus"]}, "unknown family 'bogus'; choose one of "
+         "['thomas', 'gaussian-dpp-thomas', 'ginibre-dpp-thomas']"),
+        ({"fitted_families": ["bogus"]}, "unknown family 'bogus'"),
+    ], ids=["level", "n_sim", "alpha-inf", "gamma-str", "family",
+            "fitted-family"])
+    def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
+                                            capsys, monkeypatch):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(dsncp.envelope, "run_study", no_cells)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, **change}))
+        out = tmp_path / "study.csv"
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):

@@ -9,6 +9,7 @@ the conservative tie rule then gives p = 2/5.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ class TestEnvelopeTest:
                 envelope_test(p, m, statistic="J", n_sim=99,
                               rng=RngStream(1), jobs=jobs)
 
+    def test_oversized_model_refused_before_any_curve(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("envelope_test computed before refusing")
+        for name in ("sample_model", "F_hat", "G_hat"):
+            monkeypatch.setattr(dsncp.envelope, name, unreachable)
+        _, p = thomas_pattern()
+        for m, quantity in (
+                (ModelParams(family="thomas", gamma=6.0, alpha=0.05,
+                             rho_Y=1e9), "centre count"),
+                (ModelParams(family="thomas", gamma=1e9, alpha=0.05,
+                             rho_Y=50.0), "point count")):
+            with pytest.raises(ParameterError, match=f"expected {quantity}"):
+                envelope_test(p, m, statistic="J", n_sim=99,
+                              rng=RngStream(1))
+
     def test_self_test_accepts_true_model(self):
         m, p = thomas_pattern(seed=71)
         res = envelope_test(p, m, statistic="J", n_sim=99,
@@ -333,6 +349,27 @@ class TestStudy:
                           rho_values=(1,), replicates=np.int64(2))
         assert cfg.replicates == 2
 
+    @pytest.mark.parametrize("field,message", [
+        ({"level": 1.5}, "level must be in (0, 1), got 1.5"),
+        ({"level": "x"}, "level must be in (0, 1), got 'x'"),
+        ({"n_sim": 10}, "need at least 99 simulations at level 0.95"),
+        ({"n_sim": 50, "level": 0.99}, "50 simulations are too few"),
+        ({"alpha_values": (0.05, math.inf)},
+         "alpha_values must be finite and > 0, got inf"),
+        ({"gamma_values": (math.nan,)}, "gamma_values must be finite"),
+        ({"rho_values": ("x",)}, "rho_values must be a list of numbers"),
+        ({"rho_values": (None,)}, "rho_values must be a list of numbers"),
+        ({"families": ("bogus",)}, "unknown family 'bogus'; choose one of"),
+    ], ids=["level", "level-str", "n_sim", "n_sim-0.99", "alpha-inf",
+            "gamma-nan", "rho-str", "rho-null", "family"])
+    def test_config_that_cannot_run_is_refused(self, field, message):
+        # refused on construction, so no cell can simulate
+        kwargs = {"alpha_values": (0.05,), "gamma_values": (8.0,),
+                  "rho_values": (30.0,), "replicates": 1, "n_sim": 99,
+                  **field}
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            StudyConfig(**kwargs)
+
     def test_config_from_dict(self):
         cfg = StudyConfig.from_dict({
             "alpha_values": [0.05], "gamma_values": [10.0],
@@ -368,46 +405,44 @@ class TestStudy:
         b = run_study(cfg)
         assert a.rows == b.rows
 
-    def test_failures_recorded_not_fatal(self):
-        # n_sim below the envelope floor makes every fit/test step fail;
-        # the study must finish and report the errors
+    def test_failures_recorded_not_fatal(self, monkeypatch):
+        # a test that refuses its fit makes every fit/test step fail; the
+        # study must finish and report the errors
+        def refused(*args, **kwargs):
+            raise ParameterError("refused for the test")
+        monkeypatch.setattr(dsncp.envelope, "envelope_test", refused)
         cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
                           rho_values=(30.0,), families=("thomas",),
                           fitted_families=("thomas",),
-                          replicates=1, n_sim=19, seed=13)
+                          replicates=1, n_sim=99, seed=13)
         result = run_study(cfg)
         assert len(result.errors) == 1
         assert result.errors[0]["stage"] == "fit/test"
+        assert result.errors[0]["error"] == "refused for the test"
         assert len(result.rows) == 1
         assert result.rows[0].replicates_ok == 0
         assert math.isnan(result.rows[0].reject_rate)
 
-    def test_one_K_hat_per_replicate(self, monkeypatch):
-        # two fitted families share the replicate's K_hat
-        calls = []
-        k_hat = dsncp.envelope.K_hat
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return k_hat(*args, **kwargs)
-
-        monkeypatch.setattr(dsncp.envelope, "K_hat", counted)
-        monkeypatch.setattr(dsncp.fit, "K_hat", counted)
+    def test_one_K_hat_per_replicate(self, pair_searches):
+        # two fitted families share the replicate's pair search
         cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
                           rho_values=(30.0,), families=("thomas",),
                           fitted_families=(Family.THOMAS, Family.GINIBRE),
                           replicates=2, n_sim=19, level=0.9, seed=11)
         result = run_study(cfg)
         assert [r.replicates_ok for r in result.rows] == [2, 2]
-        assert len(calls) == 2
+        assert len(pair_searches) == 2
 
     def test_library_bug_is_not_a_replicate_failure(self, monkeypatch):
-        def broken_fit(*args, **kwargs):
-            raise TypeError("a bug, not a failed replicate")
-        monkeypatch.setattr(dsncp.envelope, "min_contrast_fit", broken_fit)
-        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
-                          rho_values=(30.0,), families=("thomas",),
-                          fitted_families=("thomas",),
-                          replicates=1, n_sim=99, seed=13)
-        with pytest.raises(TypeError, match="a bug"):
-            run_study(cfg)
+        # nothing on a replicate's path raises LinAlgError, so one that
+        # does is a bug as much as a TypeError is
+        for bug in (TypeError, np.linalg.LinAlgError):
+            def broken_fit(*args, **kwargs):
+                raise bug("a bug, not a failed replicate")
+            monkeypatch.setattr(dsncp.envelope, "min_contrast_fit", broken_fit)
+            cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
+                              rho_values=(30.0,), families=("thomas",),
+                              fitted_families=("thomas",),
+                              replicates=1, n_sim=99, seed=13)
+            with pytest.raises(bug, match="a bug"):
+                run_study(cfg)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dsncp
+import dsncp.fit
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import (
     InsufficientPointsError,
@@ -42,6 +42,11 @@ UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
 def exact_curve(m, grid):
     return SummaryCurve(grid, K_theoretical(m, grid), "K")
+
+
+def exact_curve_of(m):
+    """A stand-in for ``K_hat`` that returns m's exact K on the grid."""
+    return lambda p, grid: exact_curve(m, grid)
 
 
 def contrast(k_hat, m, o):
@@ -136,16 +141,6 @@ class TestContrastObjective:
                                         ** o.q) ** o.p, grid)
                 assert _contrast(emp_q, off, o, grid) == float(want)
 
-    def test_rejects_short_curves(self):
-        m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=120.0)
-        o = ContrastOptions.for_window(UNIT)
-        # a grid short of the range, and a finer one that covers it: both
-        # are off the contrast grid, which a given K_hat must be on
-        for grid in (np.linspace(0.0, 0.1, 65), np.linspace(0.0, 0.3, 2049)):
-            with pytest.raises(ParameterError, match="not on the contrast grid"):
-                min_contrast_fit(dummy_pattern(), "thomas", o,
-                                 k_hat=exact_curve(m, grid))
-
 
 class TestSyntheticRecovery:
     cases = [
@@ -157,11 +152,10 @@ class TestSyntheticRecovery:
     ]
 
     @pytest.mark.parametrize("m", cases, ids=[c.family.value for c in cases])
-    def test_exact_curve_recovers_parameters(self, m):
+    def test_exact_curve_recovers_parameters(self, m, monkeypatch):
+        monkeypatch.setattr(dsncp.fit, "K_hat", exact_curve_of(m))
         o = ContrastOptions.for_window(UNIT)
-        curve = exact_curve(m, o.grid())
-        fit = min_contrast_fit(dummy_pattern(n=100), m.family, options=o,
-                               k_hat=curve)
+        fit = min_contrast_fit(dummy_pattern(n=100), m.family, options=o)
         assert fit.converged
         assert fit.objective < 1e-14
         assert abs(fit.alpha - m.alpha) <= 1e-4 * m.alpha
@@ -172,11 +166,11 @@ class TestSyntheticRecovery:
         else:
             assert fit.beta is None
 
-    def test_gamma_uses_pattern_count(self):
+    def test_gamma_uses_pattern_count(self, monkeypatch):
         m = self.cases[0]
+        monkeypatch.setattr(dsncp.fit, "K_hat", exact_curve_of(m))
         o = ContrastOptions.for_window(UNIT)
-        fit = min_contrast_fit(dummy_pattern(n=100), m.family, options=o,
-                               k_hat=exact_curve(m, o.grid()))
+        fit = min_contrast_fit(dummy_pattern(n=100), m.family, options=o)
         assert abs(fit.gamma - 100 / fit.rho_Y) < 1e-12
 
 
@@ -242,6 +236,15 @@ class TestOptimizer:
         p = PointPattern(np.array([[0.5, 0.5]]), UNIT)
         with pytest.raises(InsufficientPointsError):
             min_contrast_fit(p, "thomas")
+
+    def test_fits_of_one_pattern_share_one_pair_search(self, pair_searches):
+        p = self.simulated()
+        fits = [min_contrast_fit(p, fam) for fam in Family]
+        assert len(pair_searches) == 1
+        # the shared curve is the one a fresh pattern computes
+        fresh = PointPattern(p.points, p.window)
+        assert min_contrast_fit(fresh, Family.GINIBRE) == fits[-1]
+        assert len(pair_searches) == 2
 
     def test_result_json_round_trip(self, tmp_path):
         p = self.simulated()

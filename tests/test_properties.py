@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import dsncp.fit
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import (
     ExistenceError,
@@ -170,13 +171,13 @@ class TestZeroObjectiveRecovery:
 
     @pytest.mark.parametrize("family,truth", CASES,
                              ids=[f.value for f, _ in CASES])
-    def test_recovery_within_1e4(self, family, truth, dummy_pattern):
+    def test_recovery_within_1e4(self, family, truth, dummy_pattern,
+                                 monkeypatch):
+        # the fit sees truth's exact K in place of the pattern's
+        monkeypatch.setattr(dsncp.fit, "K_hat", lambda p, grid: SummaryCurve(
+            r=grid, values=K_theoretical(truth, grid), statistic="K"))
         opts = ContrastOptions.for_window(UNIT)
-        grid = opts.grid()
-        synth = SummaryCurve(r=grid, values=K_theoretical(truth, grid),
-                             statistic="K")
-        fit = min_contrast_fit(dummy_pattern, family, options=opts,
-                               k_hat=synth)
+        fit = min_contrast_fit(dummy_pattern, family, options=opts)
         assert fit.converged
         assert fit.alpha == pytest.approx(truth.alpha, rel=1e-4)
         if truth.beta is not None:

@@ -449,6 +449,37 @@ class TestKHat:
         c = K_hat(p, np.zeros(0))
         assert c.r.size == 0 and c.values.size == 0
 
+    @staticmethod
+    def clustered():
+        m = ModelParams(Family.THOMAS, gamma=8.0, alpha=0.04, rho_Y=40.0)
+        return sample_model(m, UNIT, rng=RngStream(seed=23))
+
+    def test_pattern_keeps_its_curve(self, pair_searches):
+        p = self.clustered()
+        grid = default_grid(UNIT)
+        first = K_hat(p, grid)
+        again = K_hat(p, grid)
+        assert len(pair_searches) == 1
+        assert again.values.tobytes() == first.values.tobytes()
+        fresh = K_hat(PointPattern(p.points, p.window), grid)
+        assert len(pair_searches) == 2
+        assert fresh.values.tobytes() == first.values.tobytes()
+
+    def test_kept_curve_is_keyed_by_the_grid(self, pair_searches):
+        p = self.clustered()
+        grid = default_grid(UNIT)
+        first = K_hat(p, grid)
+        # an equal grid given as a list is the same grid
+        assert K_hat(p, grid.tolist()).values.tobytes() == \
+            first.values.tobytes()
+        assert len(pair_searches) == 1
+        assert np.allclose(K_hat(p, grid[::16]).values, first.values[::16],
+                           rtol=1e-12, atol=0.0)
+        assert len(pair_searches) == 2
+        # the other grid's curve replaced the first
+        assert K_hat(p, grid).values.tobytes() == first.values.tobytes()
+        assert len(pair_searches) == 3
+
     def test_translation_invariance(self):
         gen = RngStream(seed=5).generator
         pts = UNIT.sample_uniform(40, gen)
