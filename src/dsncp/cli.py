@@ -22,7 +22,7 @@ from .cluster import (
     Family,
     ModelParams,
     centre_spectrum,
-    default_extension,
+    centre_window,
     sample_model,
 )
 from .core import (
@@ -191,9 +191,9 @@ def _load_fit(path: str, family: str | None) -> FitResult:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     m = _build_model(args)
-    ext = Extension(args.ext) if args.ext is not None else default_extension(m)
+    ext = Extension(args.ext) if args.ext is not None else None
     if args.dump_spectrum:
-        spec = centre_spectrum(m, args.window, ext)
+        spec = centre_spectrum(m, centre_window(m, args.window, ext))
         Path(args.dump_spectrum).write_text(
             csv_text("index,eigenvalue", enumerate(spec.eigenvalues)))
     pattern = sample_model(m, args.window, ext=ext,

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    Disc,
     ParameterError,
     PointPattern,
     Rect,
@@ -122,15 +121,12 @@ def default_extension(m: ModelParams) -> Extension:
 
 
 @lru_cache(maxsize=64)
-def centre_spectrum(m: ModelParams, w: Window, ext: Extension) -> DppSpectrum:
-    """The spectrum DPP centres are drawn from, built once per model.
-
-    Its domain covers the extended window: the extended rectangle (or an
-    extended disc's bounding rectangle) for the Gaussian kernel; for
-    Ginibre, whose spectrum lives on a disc, the origin-centred disc of the
-    extended window's circumradius.
-    """
-    w_ext = w.grow(ext.margin)
+def centre_spectrum(m: ModelParams, w_ext: Window) -> DppSpectrum:
+    """The spectrum DPP centres are drawn from, built once per model and
+    centre window ``w_ext`` (from ``centre_window``). Its domain covers
+    ``w_ext``: the rectangle, or a disc's bounding rectangle, for the
+    Gaussian kernel; the origin-centred disc of ``w_ext``'s circumradius
+    for Ginibre, whose spectrum lives on a disc."""
     if m.family is Family.GAUSSIAN:
         rect = w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
         return gaussian_dpp_spectrum(m.dpp_family(), rect)
@@ -141,26 +137,21 @@ def centre_spectrum(m: ModelParams, w: Window, ext: Extension) -> DppSpectrum:
         "the Thomas centre process has no spectral decomposition")
 
 
-def sample_centres(m: ModelParams, w: Window, ext: Extension,
+def sample_centres(m: ModelParams, w_ext: Window,
                    rng: RngStream) -> PointPattern:
-    """Draw the (unobserved) centre process on the extended window.
-
-    Thomas centres are homogeneous Poisson. DPP centres are sampled from
-    ``centre_spectrum`` on its covering domain and then restricted.
-    """
-    w_ext = w.grow(ext.margin)
+    """Draw the (unobserved) centre process on the centre window ``w_ext``:
+    homogeneous Poisson for Thomas; for a DPP, a draw from
+    ``centre_spectrum`` on its covering domain, restricted to ``w_ext``."""
     gen = rng.generator
     if m.family is Family.THOMAS:
         n = gen.poisson(m.rho_Y * w_ext.area)
         return PointPattern(w_ext.sample_uniform(int(n), gen), w_ext)
-    pat = sample_dpp(centre_spectrum(m, w, ext), rng)
-    if m.family is Family.GAUSSIAN:
-        return pat.restrict(w_ext)
-    cx, cy = w_ext.center
-    # the kernel is motion-invariant, so sampling on a centred disc and
-    # shifting is the same as sampling around the window centre
-    return PointPattern(pat.points + np.array([cx, cy]),
-                        Disc(cx, cy, w_ext.circumradius)).restrict(w_ext)
+    pts = sample_dpp(centre_spectrum(m, w_ext), rng).points
+    if m.family is Family.GINIBRE:
+        # the kernel is motion-invariant, so sampling on a centred disc and
+        # shifting is the same as sampling around the window centre
+        pts = pts + np.array(w_ext.center)
+    return PointPattern(pts[w_ext.contains(pts)], w_ext)
 
 
 # The largest expected centre count rho_Y |W_ext| and point count
@@ -173,9 +164,13 @@ MAX_EXPECTED_CENTRES = 1e7
 MAX_EXPECTED_POINTS = 1e7
 
 
-def _check_size(m: ModelParams, w_ext: Window) -> None:
-    """Refuse a model whose expected centre or point count on ``w_ext``
-    exceeds its limit, naming the quantity, its value and the limit."""
+def centre_window(m: ModelParams, w: Window,
+                  ext: Extension | None = None) -> Window:
+    """``w`` grown by ``ext`` (default ``default_extension(m)``), the window
+    centres are drawn on. A model expected to draw more centres or points
+    on it than its limit is refused with a ParameterError naming the
+    quantity, its value and the limit."""
+    w_ext = w.grow((default_extension(m) if ext is None else ext).margin)
     for name, value, limit in (
             ("centre count rho_Y |W_ext|", m.rho_Y * w_ext.area,
              MAX_EXPECTED_CENTRES),
@@ -184,6 +179,7 @@ def _check_size(m: ModelParams, w_ext: Window) -> None:
         if not value <= limit:
             raise ParameterError(
                 f"expected {name} is {value:.6g}, above the limit {limit:.6g}")
+    return w_ext
 
 
 def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,
@@ -192,17 +188,12 @@ def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,
 
     Centres are drawn on the extended window (default margin 4*alpha),
     cluster sizes in centre order, then all offspring displacements in one
-    draw; the union is clipped to ``w``. Deterministic given the stream.
-    A model expected to draw more than ``MAX_EXPECTED_CENTRES`` centres or
-    ``MAX_EXPECTED_POINTS`` points on the extended window is refused with
-    a ParameterError before anything is drawn.
+    draw; the union is clipped to ``w``. Deterministic given the stream. A
+    model too large to draw (``centre_window``) is refused before any draw.
     """
-    if ext is None:
-        ext = default_extension(m)
     if rng is None:
         raise ParameterError("an RngStream is required")
-    _check_size(m, w.grow(ext.margin))
-    centres = sample_centres(m, w, ext, rng)
+    centres = sample_centres(m, centre_window(m, w, ext), rng)
     gen = rng.generator
     sizes = gen.poisson(m.gamma, centres.n) if centres.n else np.zeros(0, int)
     total = int(sizes.sum())

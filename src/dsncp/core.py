@@ -265,10 +265,6 @@ class PointPattern:
         from scipy.spatial import cKDTree
         return cKDTree(self.points)
 
-    def restrict(self, w: Window) -> "PointPattern":
-        keep = w.contains(self.points) if self.n else np.zeros(0, dtype=bool)
-        return PointPattern(self.points[keep], w)
-
     def to_csv(self, path: str | Path) -> None:
         Path(path).write_text(csv_text("x,y", self.points))
 

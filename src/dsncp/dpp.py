@@ -278,6 +278,12 @@ def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
                        truncation_error=expected - float(xi.sum()))
 
 
+# The largest frequency box (2 K1 + 1)(2 K2 + 1) gaussian_dpp_spectrum fills
+# before masking it (about 1.3 GB at the limit; the tests and benchmark
+# build at most 113 569), fixed like cluster.MAX_EXPECTED_CENTRES.
+MAX_FREQUENCY_BOX = 2e7
+
+
 def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     """Fourier-basis spectral approximation of the Gaussian kernel on a
     rectangle.
@@ -285,7 +291,8 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     Eigenvalue at integer frequency k: rho_Y*pi*beta^2 *
     exp(-pi^2 beta^2 ||(k1/L1, k2/L2)||^2); eigenfunctions are the matching
     complex exponentials. Frequencies with eigenvalue below 1e-12 of the
-    leading one are dropped and accounted for in ``truncation_error``.
+    leading one are dropped and accounted for in ``truncation_error``. A
+    frequency box over ``MAX_FREQUENCY_BOX`` is refused before it is filled.
     """
     if not isinstance(rect, Rect):
         raise ParameterError("gaussian_dpp_spectrum needs a Rect domain")
@@ -302,8 +309,13 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
                            truncation_error=expected)
     # xi >= tol  <=>  ||(k1/L1, k2/L2)|| <= sqrt(log(top/tol))/(pi beta)
     reach = math.sqrt(math.log(top / tol)) / (math.pi * beta)
-    k1 = np.arange(-math.ceil(reach * l1), math.ceil(reach * l1) + 1)
-    k2 = np.arange(-math.ceil(reach * l2), math.ceil(reach * l2) + 1)
+    # the box |k_i| <= ceil(reach L_i), in floats so a huge reach gives inf
+    n1, n2 = (2.0 * float(np.ceil(reach * l)) + 1.0 for l in (l1, l2))
+    if not n1 * n2 <= MAX_FREQUENCY_BOX:
+        raise ParameterError(
+            f"Gaussian frequency box is {n1:.6g} x {n2:.6g} at beta "
+            f"{beta:.6g}, above the limit {MAX_FREQUENCY_BOX:.6g} frequencies")
+    k1, k2 = (np.arange(n, dtype=int) - n // 2 for n in (int(n1), int(n2)))
     e1 = (math.pi * beta / l1) ** 2 * k1 ** 2
     e2 = (math.pi * beta / l2) ** 2 * k2 ** 2
     xi = top * np.exp(-(e1[:, None] + e2[None, :]))
@@ -333,10 +345,7 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     to four tries, so the output law is never truncated.
     """
     gen = rng.generator
-    m = spec.eigenvalues.size
-    if m == 0:
-        return PointPattern(np.zeros((0, 2)), spec.domain)
-    idx = np.flatnonzero(gen.random(m) < spec.eigenvalues)
+    idx = np.flatnonzero(gen.random(spec.eigenvalues.size) < spec.eigenvalues)
     k = idx.size
     if k == 0:
         return PointPattern(np.zeros((0, 2)), spec.domain)

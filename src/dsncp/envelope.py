@@ -23,8 +23,7 @@ import numpy as np
 from .cluster import (
     Family,
     ModelParams,
-    _check_size,
-    default_extension,
+    centre_window,
     sample_model,
 )
 from .core import (
@@ -244,7 +243,7 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     _check_level(n_sim, level)
     model = fitted.model() if isinstance(fitted, FitResult) else fitted
-    _check_size(model, p.window.grow(default_extension(model).margin))
+    centre_window(model, p.window)
     grid = default_grid(p.window)
     bandwidth = None
     if statistic == "pcf":
@@ -307,6 +306,12 @@ class StudyConfig:
         _check_level(self.n_sim, self.level)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
+        for _, fam, alpha, gamma, rho, _ in self.cells():
+            try:
+                centre_window(_true_model(fam, gamma, alpha, rho), self.window)
+            except ParameterError as exc:
+                raise ParameterError(f"cell {fam.value} alpha={alpha} gamma="
+                                     f"{gamma} rhoY={rho}: {exc}") from None
 
     def cells(self):
         """Yield (index, true family, alpha, gamma, rho, fitted families)
@@ -324,9 +329,6 @@ class StudyConfig:
         d = dict(d)
         if "window" in d and not isinstance(d["window"], Rect):
             d["window"] = Rect(*d["window"])
-        for k in ("families", "fitted_families"):
-            if d.get(k) is not None:
-                d[k] = tuple(d[k])
         return cls(**d)
 
 

@@ -8,6 +8,7 @@ flags or input files, 3 model-constraint violations, 4 non-convergence.
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -277,6 +278,38 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["gaussian-dpp-thomas",
+                                       "ginibre-dpp-thomas"])
+    def test_oversized_spectrum_dump_exits_3(self, model, tmp_path, capsys,
+                                             no_draws):
+        # refused like the draw, before the spectrum is built
+        dump = tmp_path / "s.csv"
+        rc = run_cli(["simulate", "--model", model, "--alpha", 0.03,
+                      "--gamma", 1, "--rhoY", 1e300, "--beta", 1e-151,
+                      "--window", "rect:0,1,0,1", "--dump-spectrum", dump])
+        assert rc == 3
+        assert "expected centre count rho_Y |W_ext|" in capsys.readouterr().err
+        assert not dump.exists()
+
+    def test_oversized_frequency_box_exits_3(self, tmp_path):
+        # a nearly-Poisson Gaussian kernel: about 154 centres expected, but
+        # a 41497 x 41497 frequency box (12.8 GiB); the child may map at
+        # most 1 GiB, so only a refusal before the box is filled exits 3
+        limit = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+                 "from dsncp.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", limit, "simulate", "--model",
+             "gaussian-dpp-thomas", "--alpha", "0.03", "--gamma", "1",
+             "--rhoY", "100", "--beta", "1e-4", "--window", "rect:0,1,0,1",
+             "-o", str(tmp_path / "p.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 3, proc.stderr
+        assert ("frequency box is 41497 x 41497 at beta 0.0001, above the "
+                "limit 2e+07") in proc.stderr
+        assert not (tmp_path / "p.csv").exists()
+
     def test_thomas_spectrum_dump_exits_3(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
                       "--gamma", 6, "--rhoY", 50, "--window", "rect:0,1,0,1",
@@ -501,10 +534,7 @@ class TestEnvelope:
         assert not (tmp_path / "e.csv").exists()
 
     def test_oversized_fit_exits_3(self, pattern_csv, fit_json, tmp_path,
-                                   capsys, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("envelope simulated before refusing")
-        monkeypatch.setattr(dsncp.envelope, "sample_model", no_draws)
+                                   capsys, no_draws):
         huge = tmp_path / "huge.json"
         fit = json.loads(fit_json.read_text())["fits"]["thomas"]
         huge.write_text(json.dumps({**fit, "rhoY": 1e300}))
@@ -553,7 +583,8 @@ class TestDiscWindow:
         from dsncp.data import load_whiteoak
         disc = Disc(0.5, 0.5, 0.5)
         data = tmp_path / "disc.csv"
-        load_whiteoak().restrict(disc).to_csv(data)
+        oak = load_whiteoak().points
+        PointPattern(oak[disc.contains(oak)], disc).to_csv(data)
         fits = tmp_path / "fits.json"
         assert run_cli(["fit", "--data", data, "--window", "disc:0.5,0.5,0.5",
                         "--family", "thomas", "--quiet", "-o", fits]) == 0
@@ -716,8 +747,10 @@ class TestStudy:
         ({"families": ["bogus"]}, "unknown family 'bogus'; choose one of "
          "['thomas', 'gaussian-dpp-thomas', 'ginibre-dpp-thomas']"),
         ({"fitted_families": ["bogus"]}, "unknown family 'bogus'"),
+        ({"rho_values": [1e9]}, "cell thomas alpha=0.05 gamma=6.0 "
+         "rhoY=1000000000.0: expected centre count rho_Y |W_ext| is 1.96e+09"),
     ], ids=["level", "n_sim", "alpha-inf", "gamma-str", "family",
-            "fitted-family"])
+            "fitted-family", "too-large"])
     def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
                                             capsys, monkeypatch):
         def no_cells(*args, **kwargs):

@@ -8,6 +8,7 @@ from dsncp.cluster import (
     Extension,
     Family,
     ModelParams,
+    centre_window,
     default_extension,
     sample_centres,
     sample_model,
@@ -71,8 +72,8 @@ class TestSampleCluster:
 
     @pytest.fixture
     def one_centre(self, monkeypatch):
-        def centres(m, w, ext, rng):
-            return PointPattern(np.array([[2.0, -1.0]]), w.grow(ext.margin))
+        def centres(m, w_ext, rng):
+            return PointPattern(np.array([[2.0, -1.0]]), w_ext)
         monkeypatch.setattr(dsncp.cluster, "sample_centres", centres)
 
     def test_moments(self, one_centre):
@@ -101,8 +102,8 @@ class TestSampleCluster:
 class TestSampleCentres:
     def test_thomas_count_poisson(self):
         root = RngStream(19, 0)
-        counts = [sample_centres(thomas(rho_Y=30.0), UNIT, Extension(0.0),
-                                 root.substream(i)).n for i in range(1500)]
+        counts = [sample_centres(thomas(rho_Y=30.0), UNIT, root.substream(i)).n
+                  for i in range(1500)]
         counts = np.array(counts)
         assert counts.mean() == pytest.approx(30.0,
                                               abs=3 * math.sqrt(30 / 1500))
@@ -110,7 +111,8 @@ class TestSampleCentres:
         assert ratio == pytest.approx(1.0, abs=0.15)
 
     def test_extended_window_geometry(self):
-        pat = sample_centres(thomas(rho_Y=200.0), UNIT, Extension(0.5),
+        m = thomas(rho_Y=200.0)
+        pat = sample_centres(m, centre_window(m, UNIT, Extension(0.5)),
                              RngStream(23, 0))
         w = pat.window
         assert (w.xmin, w.xmax, w.ymin, w.ymax) == (-0.5, 1.5, -0.5, 1.5)
@@ -122,7 +124,7 @@ class TestSampleCentres:
                                        alpha=1.0, beta=2.0)
         w = Rect(0.0, 20.0, 0.0, 20.0)
         root = RngStream(29, 0)
-        counts = [sample_centres(m, w, Extension(0.0), root.substream(i)).n
+        counts = [sample_centres(m, w, root.substream(i)).n
                   for i in range(250)]
         target = 400 / (4 * math.pi)
         # repulsion makes counts under-dispersed; Poisson SE is conservative
@@ -137,7 +139,7 @@ class TestSampleCentres:
         root = RngStream(31, 0)
         counts = []
         for i in range(150):
-            pat = sample_centres(m, w, Extension(0.4), root.substream(i))
+            pat = sample_centres(m, w.grow(0.4), root.substream(i))
             assert np.all(pat.window.contains(pat.points))
             counts.append(pat.n)
         target = m.rho_Y * math.pi * 8.4 ** 2
@@ -158,8 +160,7 @@ class TestSampleModel:
     def test_alpha_limit_collapses_to_centres(self):
         m = ModelParams(Family.THOMAS, gamma=3.0, alpha=1e-9, rho_Y=40.0)
         rng = RngStream(41, 0)
-        centres = sample_centres(m, UNIT, Extension(0.0),
-                                 RngStream(41, 0))
+        centres = sample_centres(m, UNIT, RngStream(41, 0))
         pat = sample_model(m, UNIT, Extension(0.0), RngStream(41, 0))
         dmin = np.array([
             np.min(np.hypot(centres.points[:, 0] - x, centres.points[:, 1] - y))
@@ -197,7 +198,7 @@ class TestSampleModel:
         w = Disc(0.0, 0.0, 0.6)
         root = RngStream(53, 0)
         counts = np.array([
-            sample_centres(m, w, Extension(0.0), root.substream(i)).n
+            sample_centres(m, w, root.substream(i)).n
             for i in range(400)])
         target = rho * w.area
         assert counts.mean() == pytest.approx(
@@ -220,13 +221,7 @@ class TestSizeLimits:
         (thomas(gamma=1e300, alpha=0.03, rho_Y=50.0), "point count"),
         (thomas(gamma=1e4, alpha=0.03, rho_Y=1e4), "point count"),
     ])
-    def test_refused_before_any_draw(self, m, quantity, monkeypatch):
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError(f"gen.{name} reached")
-
-        monkeypatch.setattr(RngStream, "generator",
-                            property(lambda self: NoDraws()))
+    def test_refused_before_any_draw(self, m, quantity, no_draws):
         with pytest.raises(ParameterError, match=quantity) as err:
             sample_model(m, UNIT, rng=RngStream(1))
         assert "limit 1e+07" in str(err.value)
@@ -241,6 +236,6 @@ class TestSizeLimits:
                 (thomas(gamma=2.19, alpha=0.03, rho_Y=204.11),
                  Rect(0, 3.3, 0, 3.3)),
                 (thomas(gamma=50.0, alpha=0.05, rho_Y=50.0), UNIT)):
-            w_ext = w.grow(default_extension(m).margin)
+            w_ext = centre_window(m, w)
             assert m.rho_Y * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_CENTRES
             assert m.rho_X * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_POINTS

@@ -136,13 +136,6 @@ class TestPointPattern:
         p = PointPattern(np.zeros((0, 2)), Rect(0, 1, 0, 1))
         assert p.n == 0
 
-    def test_restrict(self):
-        w = Rect(0.0, 2.0, 0.0, 2.0)
-        p = PointPattern(np.array([[0.5, 0.5], [1.5, 1.5]]), w)
-        q = p.restrict(Rect(0.0, 1.0, 0.0, 1.0))
-        assert q.n == 1
-        assert q.points.tolist() == [[0.5, 0.5]]
-
     def test_csv_round_trip_is_exact(self, tmp_path):
         w = Rect(0.0, 1.0, 0.0, 1.0)
         gen = RngStream(3, 0).generator

@@ -250,12 +250,10 @@ class TestEnvelopeTest:
         with pytest.raises(ParameterError):
             envelope_test(p, m, statistic="J", n_sim=99, rng=None)
 
-    def test_unreachable_level_refused_before_simulating(self, monkeypatch):
+    def test_unreachable_level_refused_before_simulating(self, request):
         # floor(0.01 * 51) = 0: no simulated curve could be retained
-        def no_draws(*args, **kwargs):
-            raise AssertionError("envelope_test simulated before refusing")
-        monkeypatch.setattr(dsncp.envelope, "sample_model", no_draws)
         m, p = thomas_pattern()
+        request.getfixturevalue("no_draws")  # stub draws after the data's
         with pytest.raises(ParameterError, match="too few for level 0.99"):
             envelope_test(p, m, statistic="J", n_sim=50, rng=RngStream(1),
                           level=0.99)
@@ -267,12 +265,15 @@ class TestEnvelopeTest:
                 envelope_test(p, m, statistic="J", n_sim=99,
                               rng=RngStream(1), jobs=jobs)
 
-    def test_oversized_model_refused_before_any_curve(self, monkeypatch):
+    def test_oversized_model_refused_before_any_curve(self, monkeypatch,
+                                                      request):
+        _, p = thomas_pattern()
+        request.getfixturevalue("no_draws")  # stub draws after the data's
+
         def unreachable(*args, **kwargs):
             raise AssertionError("envelope_test computed before refusing")
-        for name in ("sample_model", "F_hat", "G_hat"):
+        for name in ("F_hat", "G_hat"):
             monkeypatch.setattr(dsncp.envelope, name, unreachable)
-        _, p = thomas_pattern()
         for m, quantity in (
                 (ModelParams(family="thomas", gamma=6.0, alpha=0.05,
                              rho_Y=1e9), "centre count"),
@@ -360,8 +361,10 @@ class TestStudy:
         ({"rho_values": ("x",)}, "rho_values must be a list of numbers"),
         ({"rho_values": (None,)}, "rho_values must be a list of numbers"),
         ({"families": ("bogus",)}, "unknown family 'bogus'; choose one of"),
+        ({"rho_values": (1e9,)}, "cell thomas alpha=0.05 gamma=8.0 "
+         "rhoY=1000000000.0: expected centre count rho_Y |W_ext| is 1.96e+09"),
     ], ids=["level", "level-str", "n_sim", "n_sim-0.99", "alpha-inf",
-            "gamma-nan", "rho-str", "rho-null", "family"])
+            "gamma-nan", "rho-str", "rho-null", "family", "too-large"])
     def test_config_that_cannot_run_is_refused(self, field, message):
         # refused on construction, so no cell can simulate
         kwargs = {"alpha_values": (0.05,), "gamma_values": (8.0,),

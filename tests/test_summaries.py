@@ -22,7 +22,7 @@ from dsncp.cluster import (
     Family,
     ModelParams,
     centre_spectrum,
-    default_extension,
+    centre_window,
     sample_model,
 )
 from dsncp.core import (
@@ -338,11 +338,12 @@ class TestSummaryCurve:
                           np.column_stack((env.r, env.observed, env.lower,
                                            env.upper, env.central)))
         # study rows, and the study CSV that resume_study rewrites from them
-        cfg = StudyConfig(alpha_values=(5e-324,), gamma_values=(1e308,),
+        cfg = StudyConfig(alpha_values=(5e-324,), gamma_values=(2.5e-310,),
                           rho_values=(1.0 / 3.0,), families=(Family.THOMAS,),
                           fitted_families=(Family.GINIBRE, Family.GAUSSIAN))
-        rows = [StudyRow(Family.THOMAS, f, 5e-324, 1e308, 1.0 / 3.0, v, -v, 2)
-                for f, v in ((Family.GINIBRE, math.nan), (Family.GAUSSIAN, 0.0))]
+        rows = [StudyRow(Family.THOMAS, f, 5e-324, 2.5e-310, 1.0 / 3.0, v, u, 2)
+                for f, v, u in ((Family.GINIBRE, math.nan, 1e308),
+                                (Family.GAUSSIAN, 0.0, -0.0))]
         study = tmp_path / "study.csv"
         study.write_text("\n".join([STUDY_CSV_HEADER,
                                     *(r.csv_line() for r in rows)]) + "\n")
@@ -382,7 +383,7 @@ class TestSummaryCurve:
         out = tmp_path / "spectrum.csv"
         assert cli_main(["simulate", *flags, "--window", "rect:0,1,0,1",
                          "--dump-spectrum", str(out), "--quiet"]) == 0
-        xi = centre_spectrum(m, UNIT, default_extension(m)).eigenvalues
+        xi = centre_spectrum(m, centre_window(m, UNIT)).eigenvalues
         _assert_same_bits(_read_csv(out, "index,eigenvalue"),
                           np.column_stack((np.arange(xi.size), xi)))
 
