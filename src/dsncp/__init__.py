@@ -28,7 +28,6 @@ from .dpp import (
     most_repulsive_intensity,
     nth_order_intensity,
     sample_dpp,
-    validate_dpp_params,
 )
 from .summaries import (
     F_hat,
@@ -77,6 +76,5 @@ __all__ = [
     "pcf_theoretical",
     "sample_dpp",
     "sample_model",
-    "validate_dpp_params",
     "__version__",
 ]

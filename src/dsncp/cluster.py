@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    Disc,
     ParameterError,
     PointPattern,
     Rect,
@@ -34,7 +35,6 @@ from .dpp import (
     ginibre_spectrum,
     most_repulsive_intensity,
     sample_dpp,
-    validate_dpp_params,
 )
 
 
@@ -60,6 +60,8 @@ class ModelParams:
 
     gamma: mean offspring per cluster; alpha: offspring standard deviation;
     rho_Y: centre intensity; beta: DPP kernel scale (None for Thomas).
+    A DPP model builds its kernel once, here, so a (rho_Y, beta) pair that
+    defines no DPP raises ExistenceError on construction.
     """
 
     family: Family
@@ -72,12 +74,15 @@ class ModelParams:
         object.__setattr__(self, "family", Family(self.family))
         for name in ("gamma", "alpha", "rho_Y"):
             check_positive(name, getattr(self, name))
+        kernel = None
         if self.family.is_dpp:
             if self.beta is None:
                 raise ParameterError(f"{self.family.value} requires beta")
-            validate_dpp_params(self.dpp_family())
+            kernel = (GaussianDpp if self.family is Family.GAUSSIAN
+                      else GinibreDpp)(self.rho_Y, self.beta)
         elif self.beta is not None:
             raise ParameterError("beta is not a Thomas parameter")
+        object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
     def most_repulsive(cls, family: Family | str, gamma: float, alpha: float,
@@ -91,11 +96,9 @@ class ModelParams:
                    beta=beta if family.is_dpp else None)
 
     def dpp_family(self) -> GaussianDpp | GinibreDpp:
-        if self.family is Family.GAUSSIAN:
-            return GaussianDpp(self.rho_Y, self.beta)
-        if self.family is Family.GINIBRE:
-            return GinibreDpp(self.rho_Y, self.beta)
-        raise ParameterError("Thomas model has no DPP kernel")
+        if self._kernel is None:
+            raise ParameterError("Thomas model has no DPP kernel")
+        return self._kernel
 
     @property
     def rho_X(self) -> float:
@@ -120,21 +123,28 @@ def default_extension(m: ModelParams) -> Extension:
     return Extension(4.0 * m.alpha)
 
 
+def _dpp_domain(m: ModelParams, w_ext: Window) -> Window:
+    """The compact domain a DPP model's centres are drawn on, covering the
+    centre window ``w_ext``: the rectangle, or a disc's bounding rectangle,
+    for the Gaussian kernel; the origin-centred disc of ``w_ext``'s
+    circumradius for Ginibre, whose spectrum lives on a disc."""
+    if m.family is Family.GAUSSIAN:
+        return w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
+    if m.family is Family.GINIBRE:
+        return Disc(0.0, 0.0, w_ext.circumradius)
+    raise ParameterError(
+        "the Thomas centre process has no spectral decomposition")
+
+
 @lru_cache(maxsize=64)
 def centre_spectrum(m: ModelParams, w_ext: Window) -> DppSpectrum:
     """The spectrum DPP centres are drawn from, built once per model and
-    centre window ``w_ext`` (from ``centre_window``). Its domain covers
-    ``w_ext``: the rectangle, or a disc's bounding rectangle, for the
-    Gaussian kernel; the origin-centred disc of ``w_ext``'s circumradius
-    for Ginibre, whose spectrum lives on a disc."""
+    centre window ``w_ext`` (from ``centre_window``) on ``_dpp_domain``."""
+    domain = _dpp_domain(m, w_ext)
     if m.family is Family.GAUSSIAN:
-        rect = w_ext if isinstance(w_ext, Rect) else w_ext.bounding_rect
-        return gaussian_dpp_spectrum(m.dpp_family(), rect)
-    if m.family is Family.GINIBRE:
-        return ginibre_spectrum(GinibreParams.from_family(m.dpp_family()),
-                                w_ext.circumradius)
-    raise ParameterError(
-        "the Thomas centre process has no spectral decomposition")
+        return gaussian_dpp_spectrum(m.dpp_family(), domain)
+    return ginibre_spectrum(GinibreParams.from_family(m.dpp_family()),
+                            domain.radius)
 
 
 def sample_centres(m: ModelParams, w_ext: Window,
@@ -162,20 +172,27 @@ def sample_centres(m: ModelParams, w_ext: Window,
 # is refused does not depend on where it runs.
 MAX_EXPECTED_CENTRES = 1e7
 MAX_EXPECTED_POINTS = 1e7
+# The largest expected rank E k = rho_Y |D| of a DPP centre draw, D its
+# domain (``_dpp_domain``). The sampler holds a k x k complex frame of
+# 16 k^2 bytes, 1 GiB at this limit, and costs about k^3 log k; the tests
+# and benchmark draw k up to 551.
+MAX_EXPECTED_RANK = 8192
 
 
 def centre_window(m: ModelParams, w: Window,
                   ext: Extension | None = None) -> Window:
     """``w`` grown by ``ext`` (default ``default_extension(m)``), the window
     centres are drawn on. A model expected to draw more centres or points
-    on it than its limit is refused with a ParameterError naming the
-    quantity, its value and the limit."""
+    on it, or a DPP of higher rank on its domain, than the limit is refused
+    with a ParameterError naming the quantity, its value and the limit."""
     w_ext = w.grow((default_extension(m) if ext is None else ext).margin)
+    rank = m.rho_Y * _dpp_domain(m, w_ext).area if m.family.is_dpp else 0.0
     for name, value, limit in (
             ("centre count rho_Y |W_ext|", m.rho_Y * w_ext.area,
              MAX_EXPECTED_CENTRES),
             ("point count rho_X |W_ext|", m.rho_X * w_ext.area,
-             MAX_EXPECTED_POINTS)):
+             MAX_EXPECTED_POINTS),
+            ("DPP rank rho_Y |D| on its domain D", rank, MAX_EXPECTED_RANK)):
         if not value <= limit:
             raise ParameterError(
                 f"expected {name} is {value:.6g}, above the limit {limit:.6g}")

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -53,36 +52,38 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class GaussianDpp:
+class _DppKernel:
+    """A stationary kernel of intensity ``rho_Y`` and scale ``beta`` that
+    defines a DPP: constructing one with beta above
+    ``max_admissible_beta(rho_Y)``, even by one ulp, raises ExistenceError.
+    Equality, the most repulsive case, is accepted."""
+
     rho_Y: float
     beta: float
 
     def __post_init__(self):
-        check_positive("rho_Y", self.rho_Y)
+        bmax = max_admissible_beta(self.rho_Y)  # checks rho_Y first
         check_positive("beta", self.beta)
+        if self.beta > bmax:
+            raise ExistenceError(
+                f"no DPP exists with rho_Y={self.rho_Y}, beta={self.beta}: "
+                f"beta must be <= {bmax!r}",
+                max_beta=bmax,
+            )
 
+
+class GaussianDpp(_DppKernel):
     @property
     def range_sq(self) -> float:
         """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2 / 2."""
         return self.beta ** 2 / 2.0
 
 
-@dataclass(frozen=True)
-class GinibreDpp:
-    rho_Y: float
-    beta: float
-
-    def __post_init__(self):
-        check_positive("rho_Y", self.rho_Y)
-        check_positive("beta", self.beta)
-
+class GinibreDpp(_DppKernel):
     @property
     def range_sq(self) -> float:
         """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2."""
         return self.beta ** 2
-
-
-DppFamily = Union[GaussianDpp, GinibreDpp]
 
 
 def max_admissible_beta(rho_Y: float) -> float:
@@ -105,22 +106,6 @@ def most_repulsive_intensity(beta: float) -> float:
     return rho
 
 
-def validate_dpp_params(family: DppFamily) -> None:
-    """Raise ExistenceError unless the (rho_Y, beta) pair admits a DPP.
-
-    The admissible region is exactly beta <= max_admissible_beta(rho_Y):
-    equality (the most repulsive case) is accepted and any beta above it,
-    even by one ulp, is rejected.
-    """
-    bmax = max_admissible_beta(family.rho_Y)
-    if family.beta > bmax:
-        raise ExistenceError(
-            f"no DPP exists with rho_Y={family.rho_Y}, beta={family.beta}: "
-            f"beta must be <= {bmax!r}",
-            max_beta=bmax,
-        )
-
-
 @dataclass(frozen=True)
 class GinibreParams:
     """Variation-independent Ginibre parametrization.
@@ -140,7 +125,6 @@ class GinibreParams:
 
     @classmethod
     def from_family(cls, family: GinibreDpp) -> "GinibreParams":
-        validate_dpp_params(family)
         nu = min(family.rho_Y * math.pi * family.beta ** 2, 1.0)
         return cls(nu=nu, lam=family.rho_Y)
 
@@ -239,14 +223,21 @@ class DppSpectrum:
             raise ParameterError("eigenvalues must lie in (0, 1]")
 
 
-def _poisson_survival(t: float) -> np.ndarray:
-    """P(Poisson(t) >= i) for i = 1, 2, ..., far into the tail.
+# The most candidate eigenvalues a spectrum builder computes before it
+# truncates: the Gaussian frequency box (2 K1 + 1)(2 K2 + 1), filled before
+# it is masked (about 1.3 GB at the limit), and the Ginibre term count (the
+# tests and benchmark build at most 113 569 and 233 388). Fixed like
+# cluster.MAX_EXPECTED_CENTRES.
+MAX_SPECTRUM_TERMS = 2e7
+
+
+def _poisson_survival(t: float, j_max: int) -> np.ndarray:
+    """P(Poisson(t) >= i) for i = 1, 2, ..., j_max.
 
     Identical to the regularized gamma CDF at integer shapes; computed for
     all shapes at once via a reverse cumulative sum of log-space pmf values,
     which keeps relative precision in the deep tail.
     """
-    j_max = int(t + 15.0 * math.sqrt(t) + 60.0)
     j = np.arange(j_max + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_pmf = j * math.log(t) - t - gammaln(j + 1.0)
@@ -263,11 +254,19 @@ def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
     Eigenvalues are nu * P(i, lam*pi*r^2/nu) for i = 1, 2, ..., truncated at
     the first one below 1e-12 of the leading eigenvalue, which is always
     kept. The disc is centred at the origin; shift points externally if
-    needed.
+    needed. More than ``MAX_SPECTRUM_TERMS`` terms are refused before any
+    is computed.
     """
     disc = Disc(0.0, 0.0, r)
     t = p.lam * math.pi * r * r / p.nu
-    surv = _poisson_survival(t)
+    # terms far into the Poisson(t) tail, in floats so a huge t gives inf
+    terms = t + 15.0 * math.sqrt(t) + 60.0
+    if not terms <= MAX_SPECTRUM_TERMS:
+        raise ParameterError(
+            f"Ginibre spectrum needs {terms:.6g} terms at beta "
+            f"{math.sqrt(p.nu / (p.lam * math.pi)):.6g}, above the limit "
+            f"{MAX_SPECTRUM_TERMS:.6g} terms")
+    surv = _poisson_survival(t, int(terms))
     xi = p.nu * surv
     keep = int(np.searchsorted(-xi, -1e-12 * xi[0], side="right"))
     expected = p.lam * math.pi * r * r
@@ -278,12 +277,6 @@ def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
                        truncation_error=expected - float(xi.sum()))
 
 
-# The largest frequency box (2 K1 + 1)(2 K2 + 1) gaussian_dpp_spectrum fills
-# before masking it (about 1.3 GB at the limit; the tests and benchmark
-# build at most 113 569), fixed like cluster.MAX_EXPECTED_CENTRES.
-MAX_FREQUENCY_BOX = 2e7
-
-
 def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     """Fourier-basis spectral approximation of the Gaussian kernel on a
     rectangle.
@@ -292,11 +285,10 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     exp(-pi^2 beta^2 ||(k1/L1, k2/L2)||^2); eigenfunctions are the matching
     complex exponentials. Frequencies with eigenvalue below 1e-12 of the
     leading one are dropped and accounted for in ``truncation_error``. A
-    frequency box over ``MAX_FREQUENCY_BOX`` is refused before it is filled.
+    frequency box over ``MAX_SPECTRUM_TERMS`` is refused before it is filled.
     """
     if not isinstance(rect, Rect):
         raise ParameterError("gaussian_dpp_spectrum needs a Rect domain")
-    validate_dpp_params(family)
     rho, beta = family.rho_Y, family.beta
     l1, l2 = rect.side_lengths
     top = rho * math.pi * beta * beta
@@ -311,10 +303,10 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     reach = math.sqrt(math.log(top / tol)) / (math.pi * beta)
     # the box |k_i| <= ceil(reach L_i), in floats so a huge reach gives inf
     n1, n2 = (2.0 * float(np.ceil(reach * l)) + 1.0 for l in (l1, l2))
-    if not n1 * n2 <= MAX_FREQUENCY_BOX:
+    if not n1 * n2 <= MAX_SPECTRUM_TERMS:
         raise ParameterError(
             f"Gaussian frequency box is {n1:.6g} x {n2:.6g} at beta "
-            f"{beta:.6g}, above the limit {MAX_FREQUENCY_BOX:.6g} frequencies")
+            f"{beta:.6g}, above the limit {MAX_SPECTRUM_TERMS:.6g} frequencies")
     k1, k2 = (np.arange(n, dtype=int) - n // 2 for n in (int(n1), int(n2)))
     e1 = (math.pi * beta / l1) ** 2 * k1 ** 2
     e2 = (math.pi * beta / l2) ** 2 * k2 ** 2
@@ -420,7 +412,7 @@ def _sample_projection(spec: DppSpectrum, idx: np.ndarray, bound: float,
     return pts
 
 
-def nth_order_intensity(family: DppFamily, points) -> float:
+def nth_order_intensity(family: GaussianDpp | GinibreDpp, points) -> float:
     """n-th order product intensity det{c(u_i, u_j)} of the DPP.
 
     ``points`` is a sequence of n planar points, 1 <= n <= 12. The Ginibre
@@ -443,7 +435,7 @@ def nth_order_intensity(family: DppFamily, points) -> float:
     return det.real
 
 
-def kernel_matrix(family: DppFamily, points) -> np.ndarray:
+def kernel_matrix(family: GaussianDpp | GinibreDpp, points) -> np.ndarray:
     """Kernel Gram matrix c(u_i, u_j) for a set of points.
 
     Real for the Gaussian family, complex for Ginibre.

@@ -35,6 +35,18 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def run_in_1gib_child(argv):
+    """Run the CLI in a child that may map at most 1 GiB (``RLIMIT_AS``)
+    with one BLAS thread, so only a refusal before a large allocation can
+    exit 3."""
+    limit = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+             "from dsncp.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run(
+        [sys.executable, "-c", limit, *argv], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
 @pytest.fixture(scope="module")
 def pattern_csv(tmp_path_factory):
     """A Thomas pattern on the unit square, written once per module."""
@@ -293,22 +305,40 @@ class TestSimulate:
 
     def test_oversized_frequency_box_exits_3(self, tmp_path):
         # a nearly-Poisson Gaussian kernel: about 154 centres expected, but
-        # a 41497 x 41497 frequency box (12.8 GiB); the child may map at
-        # most 1 GiB, so only a refusal before the box is filled exits 3
-        limit = ("import resource, sys; "
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
-                 "from dsncp.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", limit, "simulate", "--model",
-             "gaussian-dpp-thomas", "--alpha", "0.03", "--gamma", "1",
-             "--rhoY", "100", "--beta", "1e-4", "--window", "rect:0,1,0,1",
-             "-o", str(tmp_path / "p.csv")],
-            capture_output=True, text=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        # a 41497 x 41497 frequency box (12.8 GiB)
+        proc = run_in_1gib_child(
+            ["simulate", "--model", "gaussian-dpp-thomas", "--alpha", "0.03",
+             "--gamma", "1", "--rhoY", "100", "--beta", "1e-4", "--window",
+             "rect:0,1,0,1", "-o", str(tmp_path / "p.csv")])
         assert proc.returncode == 3, proc.stderr
         assert ("frequency box is 41497 x 41497 at beta 0.0001, above the "
                 "limit 2e+07") in proc.stderr
         assert not (tmp_path / "p.csv").exists()
+
+    def test_oversized_ginibre_spectrum_exits_3(self, tmp_path):
+        # the Ginibre counterpart: about 240 centres expected, but 7.7e9
+        # Poisson tail terms (57.3 GiB) to reach the eigenvalue cutoff
+        proc = run_in_1gib_child(
+            ["simulate", "--model", "ginibre-dpp-thomas", "--alpha", "0.03",
+             "--gamma", "1", "--rhoY", "100", "--beta", "1e-5", "--window",
+             "rect:0,1,0,1", "-o", str(tmp_path / "p.csv")])
+        assert proc.returncode == 3, proc.stderr
+        assert ("Ginibre spectrum needs 7.68932e+09 terms at beta 1e-05, "
+                "above the limit 2e+07 terms") in proc.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_high_rank_dpp_exits_3(self, tmp_path, capsys, no_draws):
+        # 5.2e4 centres expected, far below the count limit, but the
+        # sampler's k x k frame would take about 40 GiB
+        flags = ["simulate", "--model", "gaussian-dpp-thomas", "--alpha",
+                 0.001, "--rhoX", 50000, "--beta", 0.0025, "--window",
+                 "rect:0,1,0,1", "-o", tmp_path / "p.csv"]
+        for extra in ([], ["--dump-spectrum", tmp_path / "s.csv"]):
+            assert run_cli(flags + extra) == 3
+            assert ("expected DPP rank rho_Y |D| on its domain D is 51747.7, "
+                    "above the limit 8192") in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "s.csv").exists()
 
     def test_thomas_spectrum_dump_exits_3(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
@@ -749,10 +779,15 @@ class TestStudy:
         ({"fitted_families": ["bogus"]}, "unknown family 'bogus'"),
         ({"rho_values": [1e9]}, "cell thomas alpha=0.05 gamma=6.0 "
          "rhoY=1000000000.0: expected centre count rho_Y |W_ext| is 1.96e+09"),
+        # most repulsive: a frequency box of about 35 rho_Y |W_ext|
+        ({"families": ["gaussian-dpp-thomas"], "gamma_values": [1.0],
+          "rho_values": [1e6]}, "cell gaussian-dpp-thomas alpha=0.05 "
+         "gamma=1.0 rhoY=1000000.0: expected DPP rank rho_Y |D| on its "
+         "domain D is 1.96e+06, above the limit 8192"),
     ], ids=["level", "n_sim", "alpha-inf", "gamma-str", "family",
-            "fitted-family", "too-large"])
+            "fitted-family", "too-large", "too-high-rank"])
     def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
-                                            capsys, monkeypatch):
+                                            capsys, monkeypatch, no_draws):
         def no_cells(*args, **kwargs):
             raise AssertionError("a cell ran")
         monkeypatch.setattr(dsncp.envelope, "run_study", no_cells)

@@ -13,7 +13,15 @@ from dsncp.cluster import (
     sample_centres,
     sample_model,
 )
-from dsncp.core import Disc, ParameterError, PointPattern, Rect, RngStream
+from dsncp.core import (
+    Disc,
+    ExistenceError,
+    ParameterError,
+    PointPattern,
+    Rect,
+    RngStream,
+)
+from dsncp.dpp import GaussianDpp, GinibreDpp, max_admissible_beta
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -44,8 +52,17 @@ class TestModelParams:
             ModelParams(Family.THOMAS, 1.0, 0.1, 10.0, beta=0.1)
 
     def test_existence_enforced(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ExistenceError):
             ModelParams(Family.GINIBRE, 1.0, 0.1, rho_Y=10.0, beta=1.0)
+
+    def test_kernel_built_once(self):
+        for fam, kernel in ((Family.GAUSSIAN, GaussianDpp),
+                            (Family.GINIBRE, GinibreDpp)):
+            m = ModelParams(fam, 1.0, 0.1, rho_Y=10.0, beta=0.1)
+            assert m.dpp_family() is m.dpp_family()
+            assert m.dpp_family() == kernel(10.0, 0.1)
+        with pytest.raises(ParameterError, match="no DPP kernel"):
+            thomas().dpp_family()
 
     def test_positivity(self):
         for bad in ({"gamma": 0.0}, {"alpha": -1.0}, {"rho_Y": 0.0}):
@@ -226,16 +243,45 @@ class TestSizeLimits:
             sample_model(m, UNIT, rng=RngStream(1))
         assert "limit 1e+07" in str(err.value)
 
+    def test_dpp_rank_counted_on_the_sampled_domain(self, no_draws):
+        # E k = rho_Y |D|: D is the square itself for the Gaussian kernel,
+        # a disc window's bounding square (4/pi larger), and for Ginibre the
+        # disc around the square (pi/2 larger)
+        none = Extension(0.0)
+        gauss = ModelParams(Family.GAUSSIAN, 1.0, 0.01, 6000.0, beta=0.005)
+        assert centre_window(gauss, UNIT, none) == UNIT
+        for m, w, rank in (
+                (ModelParams(Family.GINIBRE, 1.0, 0.01, 6000.0, beta=0.005),
+                 UNIT, "9424.78"),
+                (ModelParams(Family.GAUSSIAN, 1.0, 0.01, 9000.0, beta=0.005),
+                 Disc(0.5, 0.5, 0.5), "9000")):
+            with pytest.raises(ParameterError) as err:
+                sample_model(m, w, none, rng=RngStream(1))
+            assert str(err.value) == (
+                f"expected DPP rank rho_Y |D| on its domain D is {rank}, "
+                f"above the limit 8192")
+
     def test_largest_drawn_models_are_far_below_the_limits(self):
         # criterion 4 (20 x 20 window), the large-pattern benchmark
-        # workload (whiteoak's Thomas fit on a 3.3 x 3.3 square) and
-        # criterion 6's cells (gamma = rho = 50 on the unit square)
+        # workload (whiteoak's Thomas fit on a 3.3 x 3.3 square),
+        # criterion 6's cells (gamma = rho = 50 on the unit square) and
+        # dpp-large-k's draws (whiteoak's DPP fits on a 2 x 2 square and a
+        # 4 x 0.25 strip), whose E k of about 530 and 550 is the largest
+        gauss, gin = (ModelParams.most_repulsive(
+            fam, 448.0 / rho, alpha, max_admissible_beta(rho))
+            for fam, rho, alpha in ((Family.GAUSSIAN, 105.36, 0.03),
+                                    (Family.GINIBRE, 35.32, 0.05)))
         for m, w in (
                 (ModelParams.most_repulsive(Family.GINIBRE, 9.0 * math.pi,
                                             1.0, 3.0), Rect(0, 20, 0, 20)),
                 (thomas(gamma=2.19, alpha=0.03, rho_Y=204.11),
                  Rect(0, 3.3, 0, 3.3)),
-                (thomas(gamma=50.0, alpha=0.05, rho_Y=50.0), UNIT)):
+                (thomas(gamma=50.0, alpha=0.05, rho_Y=50.0), UNIT),
+                (gauss, Rect(0, 2, 0, 2)),
+                (gin, Rect(0, 4, 0, 0.25))):
             w_ext = centre_window(m, w)
             assert m.rho_Y * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_CENTRES
             assert m.rho_X * w_ext.area < 1e-3 * dsncp.cluster.MAX_EXPECTED_POINTS
+            if m.family.is_dpp:
+                rank = m.rho_Y * dsncp.cluster._dpp_domain(m, w_ext).area
+                assert rank < 0.1 * dsncp.cluster.MAX_EXPECTED_RANK

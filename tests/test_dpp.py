@@ -27,7 +27,6 @@ from dsncp.dpp import (
     most_repulsive_intensity,
     nth_order_intensity,
     sample_dpp,
-    validate_dpp_params,
     _FourierBasis,
     _GinibreBasis,
     _sample_projection,
@@ -36,31 +35,31 @@ from dsncp.dpp import (
 
 class TestValidation:
     def test_standard_ginibre_boundary_ok(self):
-        validate_dpp_params(GinibreDpp(rho_Y=1 / math.pi, beta=1.0))
+        GinibreDpp(rho_Y=1 / math.pi, beta=1.0)
 
     def test_just_past_boundary_rejected_with_max_beta(self):
         with pytest.raises(ExistenceError) as exc:
-            validate_dpp_params(GaussianDpp(rho_Y=1 / math.pi, beta=1.01))
+            GaussianDpp(rho_Y=1 / math.pi, beta=1.01)
         assert exc.value.max_beta == pytest.approx(1.0, rel=1e-12)
 
     def test_most_repulsive_from_intensity_ok(self):
         rho = 30.0
-        validate_dpp_params(GinibreDpp(rho_Y=rho, beta=math.sqrt(1 / (30 * math.pi))))
+        GinibreDpp(rho_Y=rho, beta=math.sqrt(1 / (30 * math.pi)))
         assert max_admissible_beta(rho) == pytest.approx(0.10301, abs=1e-5)
 
     def test_round_trip_most_repulsive(self):
         # intensity computed from beta must validate at any beta
         for beta in (0.05, 0.3, 1.0, 4.0):
             rho = most_repulsive_intensity(beta)
-            validate_dpp_params(GaussianDpp(rho, beta))
-            validate_dpp_params(GinibreDpp(rho, beta))
+            GaussianDpp(rho, beta)
+            GinibreDpp(rho, beta)
 
     def test_rejects_exactly_past_bound(self):
         rho = 2.7
         bmax = max_admissible_beta(rho)
-        validate_dpp_params(GaussianDpp(rho, bmax))
+        GaussianDpp(rho, bmax)
         with pytest.raises(ExistenceError):
-            validate_dpp_params(GaussianDpp(rho, bmax * 1.0001))
+            GaussianDpp(rho, bmax * 1.0001)
 
     def test_field_positivity(self):
         with pytest.raises(ParameterError):
@@ -584,7 +583,7 @@ class TestNthOrderIntensity:
         assert nth_order_intensity(fam, [(0.4, -0.2)]) == pytest.approx(2.5)
 
     def test_coincident_points_vanish(self):
-        for fam in (GaussianDpp(1.5, 0.7), GinibreDpp(1.5, 0.4)):
+        for fam in (GaussianDpp(1.5, 0.4), GinibreDpp(1.5, 0.4)):
             val = nth_order_intensity(fam, [(0.3, 0.1), (0.3, 0.1)])
             assert val == pytest.approx(0.0, abs=1e-9 * 1.5 ** 2)
 
@@ -595,10 +594,11 @@ class TestNthOrderIntensity:
         assert val == pytest.approx(expect, rel=1e-12)
 
     def test_gaussian_hand_pair(self):
-        fam = GaussianDpp(0.5, 2.0)
-        d = 1.3
+        # rho^2 (1 - exp(-2 d^2 / beta^2)), 2 d^2 / beta^2 = 0.72 / 0.5625
+        fam = GaussianDpp(0.5, 0.75)
+        d = 0.6
         val = nth_order_intensity(fam, [(0.0, 0.0), (d, 0.0)])
-        expect = 0.25 * (1.0 - math.exp(-2.0 * d * d / 4.0))
+        expect = 0.25 * (1.0 - math.exp(-1.28))
         assert val == pytest.approx(expect, rel=1e-12)
 
     def test_range_validation(self):

@@ -20,7 +20,14 @@ from hypothesis.extra.numpy import arrays
 import dsncp.envelope
 import dsncp.fit
 from dsncp.cluster import Family, ModelParams, sample_model
-from dsncp.core import ParameterError, PointPattern, Rect, RngStream, write_json
+from dsncp.core import (
+    ParameterError,
+    PointPattern,
+    Rect,
+    RejectionBoundError,
+    RngStream,
+    write_json,
+)
 from dsncp.envelope import (
     CurveEnsemble,
     EnvelopeResult,
@@ -324,9 +331,11 @@ class TestEnvelopeTest:
         from dsncp.fit import min_contrast_fit
         m, p = thomas_pattern(seed=76)
         fit = min_contrast_fit(p, "thomas")
-        res = envelope_test(p, fit, statistic="G", n_sim=99,
-                            rng=RngStream(seed=9))
-        assert 0.0 < res.p_value <= 1.0
+        for stat in ("G", "F"):
+            res = envelope_test(p, fit, statistic=stat, n_sim=99,
+                                rng=RngStream(seed=9))
+            assert res.statistic == stat
+            assert 0.0 < res.p_value <= 1.0
 
 
 class TestStudy:
@@ -425,6 +434,32 @@ class TestStudy:
         assert len(result.rows) == 1
         assert result.rows[0].replicates_ok == 0
         assert math.isnan(result.rows[0].reject_rate)
+
+    def test_simulate_failure_recorded_not_fatal(self, monkeypatch):
+        # the data draw of the first of two replicates fails; the second
+        # replicate and its simulations draw as usual
+        draws = []
+        sample = dsncp.envelope.sample_model
+
+        def flaky(*args, **kwargs):
+            draws.append(args)
+            if len(draws) == 1:
+                raise RejectionBoundError("bound exceeded for the test",
+                                          observed=2.0)
+            return sample(*args, **kwargs)
+        monkeypatch.setattr(dsncp.envelope, "sample_model", flaky)
+        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
+                          rho_values=(30.0,), families=("thomas",),
+                          fitted_families=("thomas",),
+                          replicates=2, n_sim=19, level=0.9, seed=13)
+        result = run_study(cfg)
+        assert result.errors == [{
+            "true_family": "thomas", "alpha": 0.05, "gamma": 8.0,
+            "rhoY": 30.0, "replicate": 0, "stage": "simulate",
+            "error": "bound exceeded for the test"}]
+        assert len(result.rows) == 1
+        assert result.rows[0].replicates_ok == 1
+        assert 0.0 <= result.rows[0].reject_rate <= 1.0
 
     def test_one_K_hat_per_replicate(self, pair_searches):
         # two fitted families share the replicate's pair search

@@ -28,7 +28,6 @@ from dsncp.dpp import (
     max_admissible_beta,
     most_repulsive_intensity,
     nth_order_intensity,
-    validate_dpp_params,
 )
 from dsncp.envelope import CurveEnsemble, _erl_order_statistics, global_envelope
 from dsncp.fit import ContrastOptions, min_contrast_fit
@@ -129,11 +128,13 @@ class TestExistenceBoundary:
     @pytest.mark.parametrize("rho", [0.05, 1.0 / math.pi, 35.32, 204.11])
     def test_boundary_is_exact(self, cls, rho):
         b = max_admissible_beta(rho)
-        validate_dpp_params(cls(rho_Y=rho, beta=b))
+        cls(rho_Y=rho, beta=b)
+        above = float(np.nextafter(b, np.inf))
         with pytest.raises(ExistenceError) as exc:
-            validate_dpp_params(cls(rho_Y=rho,
-                                    beta=float(np.nextafter(b, np.inf))))
+            cls(rho_Y=rho, beta=above)
         assert exc.value.max_beta == b
+        assert str(exc.value) == (f"no DPP exists with rho_Y={rho}, "
+                                  f"beta={above}: beta must be <= {b!r}")
 
     def test_bound_identity(self):
         for rho in [0.1, 1.0, 35.32, 204.11]:
@@ -144,16 +145,16 @@ class TestExistenceBoundary:
         # most_repulsive_intensity output always validates at its own beta
         for beta in [0.03, 0.055, 0.09, 0.5, 1.0, 2.0, 3.0, 3.5, 17.0]:
             rho = most_repulsive_intensity(beta)
-            validate_dpp_params(GaussianDpp(rho_Y=rho, beta=beta))
-            validate_dpp_params(GinibreDpp(rho_Y=rho, beta=beta))
+            GaussianDpp(rho_Y=rho, beta=beta)
+            GinibreDpp(rho_Y=rho, beta=beta)
             assert rho == pytest.approx(1.0 / (math.pi * beta * beta),
                                         rel=1e-14)
 
     def test_known_boundary_cases(self):
         # the standard Ginibre process sits exactly on the boundary
-        validate_dpp_params(GinibreDpp(rho_Y=1.0 / math.pi, beta=1.0))
+        GinibreDpp(rho_Y=1.0 / math.pi, beta=1.0)
         with pytest.raises(ExistenceError) as exc:
-            validate_dpp_params(GaussianDpp(rho_Y=1.0 / math.pi, beta=1.01))
+            GaussianDpp(rho_Y=1.0 / math.pi, beta=1.01)
         assert exc.value.max_beta == pytest.approx(1.0, rel=1e-12)
 
 
