@@ -15,7 +15,6 @@ from .core import (
     ParameterError,
     PointPattern,
     Rect,
-    RejectionBoundError,
     RngStream,
     Window,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ParameterError",
     "PointPattern",
     "Rect",
-    "RejectionBoundError",
     "RngStream",
     "SummaryCurve",
     "Window",

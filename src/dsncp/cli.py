@@ -31,7 +31,6 @@ from .core import (
     ParameterError,
     PointPattern,
     Rect,
-    RejectionBoundError,
     RngStream,
     Window,
     csv_text,
@@ -421,9 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RejectionBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

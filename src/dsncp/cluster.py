@@ -173,9 +173,12 @@ def sample_centres(m: ModelParams, w_ext: Window,
 MAX_EXPECTED_CENTRES = 1e7
 MAX_EXPECTED_POINTS = 1e7
 # The largest expected rank E k = rho_Y |D| of a DPP centre draw, D its
-# domain (``_dpp_domain``). The sampler holds a k x k complex frame of
-# 16 k^2 bytes, 1 GiB at this limit, and costs about k^3 log k; the tests
-# and benchmark draw k up to 551.
+# domain (``_dpp_domain``). The sampler holds a k x k complex frame and a
+# pool of n = min(k, 4096) proposals, each with its row and coefficients
+# (two n x k complex blocks), and builds a batch's rows with one more such
+# block: 16 (k^2 + 3 n k) bytes, 4 times the frame up to k = 4096 and
+# 2.5 GiB at this limit. It costs about k^3 log k; the tests and benchmark
+# draw k up to 551.
 MAX_EXPECTED_RANK = 8192
 
 

@@ -54,18 +54,6 @@ def _check_finite_fields(obj) -> None:
                 f"{type(obj).__name__} {f.name} must be finite, got {value}")
 
 
-class RejectionBoundError(RuntimeError):
-    """A rejection-sampling dominating bound was exceeded.
-
-    Carries ``observed``, the offending density value, so the caller can
-    refit the bound and redraw instead of truncating.
-    """
-
-    def __init__(self, message: str, observed: float):
-        super().__init__(message)
-        self.observed = observed
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle [xmin, xmax] x [ymin, ymax]."""

@@ -15,19 +15,37 @@ projection algorithm (Lavancier, Moller & Rubak 2015, Alg. 1):
 Bernoulli-select k eigenfunctions, then draw the k points one by one, the
 j-th from the residual density ||v(x)||^2 - sum_{l<j} |<v(x), e_l>|^2
 (v the selected basis row, e_l the orthonormalised rows of the points
-already drawn), by exact rejection against the uniform law.
+already drawn). Each step is an exact rejection sampler whose proposal is
+the kernel's own diagonal ||v(x)||^2 / k (the chain rule of Hough,
+Krishnapur, Peres & Virag 2006; Gautier, Bardenet & Valko 2019): a
+proposal x with uniform u is accepted when u ||v(x)||^2 is below its
+residual, which never exceeds ||v(x)||^2, so no bound is needed. The
+Fourier diagonal is the uniform law; the Ginibre one is a mixture of
+radial laws, one per selected eigenfunction.
 
-The rejection step keeps a pool of pending proposals. Uniform proposals
-are drawn in batches sized for about four acceptances, each projected once
-against the frame e_0, ..., e_{j-1} built so far; when a point is accepted,
-its row joins the frame and every pending residual drops by |<v, e_j>|^2,
-so a pending residual is always the current step's. A proposal leaves the
-pool when it is tested, whether accepted or not, and the proposals still
-untested are i.i.d. uniform and independent of every point and uniform
-drawn so far. Testing them at a later step is therefore the same rejection
-sampler as testing fresh ones, and the output law is exact: the batch size
-moves the random stream, not the law. A draw costs O(k^2) per tested
-proposal; the rows v are computed separably (Fourier) or in one pass.
+The rejection step keeps a pool of pending proposals. They are drawn, with
+their uniforms, in batches of min(k, 4096): at step j the diagonal accepts
+(k - j)/k of its proposals on average, so a batch holds about as many
+acceptances as there are points left to draw, and the batch that ends a
+draw leaves few proposals untested. Each batch is projected once against
+the frame e_0, ..., e_{j-1} built so far, and each proposal keeps its
+coefficients; when a point is accepted, its row joins the frame, every
+pending proposal gains its coefficient on it and its residual drops by
+that coefficient's squared modulus, so a pending residual is always the
+current step's. A proposal leaves the pool when it is tested, whether
+accepted or not, and the proposals still untested, with their uniforms,
+are i.i.d. and independent of every point drawn so far. Testing them at a
+later step is therefore the same rejection sampler as testing fresh ones,
+and the output law is exact: the batch size moves the random stream, not
+the law.
+
+An accepted row is orthogonalised against the frame from its kept
+coefficients in one pass; a second pass runs only when the first removed
+more than half its squared norm ("twice is enough"). The frame holds the
+conjugates of the e_l, so a coefficient block is the plain product
+frame @ v with no conjugate copy of the pool; moduli, and hence residuals,
+are unchanged. A draw costs O(k^2) per tested proposal; the rows v are
+computed separably (Fourier) or in one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincinv, gammaln
 
 from .core import (
     Disc,
@@ -44,7 +62,6 @@ from .core import (
     ParameterError,
     PointPattern,
     Rect,
-    RejectionBoundError,
     RngStream,
     Window,
     check_positive,
@@ -154,9 +171,11 @@ class _FourierBasis:
             return out
         return build
 
-    def sup_sq_bound(self, idx: np.ndarray) -> float:
-        # each |phi|^2 is exactly 1/area, so the sup is exact
-        return len(idx) / self.rect.area
+    def propose(self, idx: np.ndarray, n: int,
+                gen: np.random.Generator) -> np.ndarray:
+        """n draws from sum_{i in idx} |phi_i|^2 / k: each |phi_i|^2 is
+        1/area, so the uniform law on the rectangle."""
+        return self.rect.sample_uniform(n, gen)
 
 
 class _GinibreBasis:
@@ -164,18 +183,22 @@ class _GinibreBasis:
 
     phi_i(u) ~ u^{i-1} exp(-lam*pi*|u|^2/(2 nu)) up to normalization;
     all magnitudes are accumulated in log space because (i-1)! overflows
-    double precision near i = 171.
+    double precision near i = 171. ``mass`` holds P(i, t), t = coef r^2,
+    the regularized lower incomplete gamma function: the share of
+    |u^{i-1} exp(-coef |u|^2 / 2)|^2's integral over the plane that falls
+    in the disc.
     """
 
-    def __init__(self, disc: Disc, nu: float, lam: float, log_p: np.ndarray):
+    def __init__(self, disc: Disc, nu: float, lam: float, mass: np.ndarray):
         self.disc = disc
         self.coef = lam * math.pi / nu  # exp(-coef |u|^2 / 2) radial decay
-        i = np.arange(1, log_p.size + 1, dtype=float)
+        self.mass = mass
+        i = np.arange(1, mass.size + 1, dtype=float)
         self.log_norms = (0.5 * math.log(lam)
                           + 0.5 * (i - 1.0) * math.log(lam * math.pi)
                           - 0.5 * gammaln(i)  # log (i - 1)!
                           - 0.5 * i * math.log(nu)
-                          - 0.5 * log_p)
+                          - 0.5 * np.log(mass))
 
     def rows(self, idx: np.ndarray):
         """Points -> rows of ``idx``: exp(i log z + log_norm_i - coef |z|^2 / 2)."""
@@ -192,14 +215,21 @@ class _GinibreBasis:
             return out
         return build
 
-    def sup_sq_bound(self, idx: np.ndarray) -> float:
-        # radial sum_i |phi_i|^2, maximized on 4097 radii; at 0 only i = 0 counts
-        s = np.linspace(0.0, self.disc.radius, 4097)[1:]
-        total = np.log(s)[:, None] * (2.0 * idx)
-        total += 2.0 * self.log_norms[idx]
-        total -= (self.coef * s * s)[:, None]
-        centre = math.exp(2.0 * self.log_norms[0]) if (idx == 0).any() else 0.0
-        return max(float(np.exp(total, out=total).sum(axis=1).max()), centre)
+    def propose(self, idx: np.ndarray, n: int,
+                gen: np.random.Generator) -> np.ndarray:
+        """n draws from the equal mixture of the unit-mass densities
+        |phi_{i+1}(u)|^2 ~ |u|^{2i} exp(-coef |u|^2), i in ``idx`` (which
+        counts from 0): an index i uniform on ``idx``, a uniform angle, and
+        coef |u|^2 from Gamma(i + 1, 1) truncated at t, by inverse CDF on
+        its truncated mass P(i + 1, t)."""
+        i = idx[gen.integers(idx.size, size=n)]
+        theta = gen.random(n) * (2.0 * math.pi)
+        t = self.coef * self.disc.radius ** 2
+        # clipped at t so that rounding never leaves the disc
+        sq = np.minimum(gammaincinv(i + 1.0, gen.random(n) * self.mass[i]), t)
+        s = np.sqrt(sq / self.coef)
+        return np.column_stack((self.disc.cx + s * np.cos(theta),
+                                self.disc.cy + s * np.sin(theta)))
 
 
 @dataclass(frozen=True)
@@ -271,8 +301,7 @@ def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
     keep = int(np.searchsorted(-xi, -1e-12 * xi[0], side="right"))
     expected = p.lam * math.pi * r * r
     xi = xi[:keep]
-    log_p = np.log(surv[:keep])
-    basis = _GinibreBasis(disc, p.nu, p.lam, log_p)
+    basis = _GinibreBasis(disc, p.nu, p.lam, surv[:keep].copy())
     return DppSpectrum(disc, np.minimum(xi, 1.0), basis,
                        truncation_error=expected - float(xi.sum()))
 
@@ -327,87 +356,72 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
 
     Eigen-indices are kept independently with probability xi_i, drawn
     first from ``rng``; the kept projection kernel of rank k is then
-    sampled point by point by exact rejection against the uniform law,
-    bounded by a fine-grid maximum of the total eigenfunction mass times
-    1.1. Proposals come in batches sized for about four acceptances (at
-    most 4096), their basis rows computed separably (Fourier) or in one
-    pass (Ginibre), and untested ones stay pending across steps (see the
-    module docstring). A fresh batch whose residual exceeds the bound
-    aborts the draw and restarts it with 1.5 times the observed value, up
-    to four tries, so the output law is never truncated.
+    sampled point by point by exact rejection against its own diagonal
+    ||v(x)||^2 / k, which dominates every step's residual density, so the
+    draw needs no bound and never restarts. Proposals come in batches of
+    min(k, 4096) with their uniforms, their basis rows computed separably
+    (Fourier) or in one pass (Ginibre), and untested ones stay pending
+    across steps with the coefficients they gained (see the module
+    docstring).
     """
     gen = rng.generator
     idx = np.flatnonzero(gen.random(spec.eigenvalues.size) < spec.eigenvalues)
-    k = idx.size
-    if k == 0:
+    if not idx.size:
         return PointPattern(np.zeros((0, 2)), spec.domain)
-    bound = 1.1 * spec.basis.sup_sq_bound(idx)
-    last_err: RejectionBoundError | None = None
-    for _ in range(4):
-        try:
-            pts = _sample_projection(spec, idx, bound, gen)
-            return PointPattern(pts, spec.domain)
-        except RejectionBoundError as err:
-            bound = 1.5 * err.observed
-            last_err = err
-    raise last_err
+    return PointPattern(_sample_projection(spec.basis, idx, gen), spec.domain)
 
 
-def _sample_projection(spec: DppSpectrum, idx: np.ndarray, bound: float,
+def _sample_projection(basis, idx: np.ndarray,
                        gen: np.random.Generator) -> np.ndarray:
     k = idx.size
-    rows = spec.basis.rows(idx)
-    domain = spec.domain
-    frame = np.zeros((k, k), dtype=complex)  # rows e_0, ..., e_{j-1}
+    rows = basis.rows(idx)
+    size = min(k, 4096)
+    # conjugates of the orthonormal rows e_0, ..., e_{j-1}, and each
+    # pending proposal's coefficients <e_l, v> = (frame @ v)_l, l < j
+    frame = np.empty((k, k), dtype=complex)
+    coef = np.empty((k, size), dtype=complex)
     pts = np.empty((k, 2))
-    # pending proposals: point, basis row v, residual density at step j
-    pool_x = np.empty((0, 2))
-    pool_v = np.empty((0, k), dtype=complex)
-    pool_r = np.empty(0)
+    start = size  # pending proposals are those at start, ..., size - 1
     for j in range(k):
         while True:
-            if not pool_r.size:
-                # about four acceptances expected: the residual integrates
-                # to k - j against a uniform proposal of mass bound * |D|
-                size = min(math.ceil(4 * bound * domain.area / (k - j)), 4096)
-                pool_x = domain.sample_uniform(size, gen)
-                pool_v = rows(pool_x)
-                pool_r = np.einsum("ij,ij->i", pool_v.real, pool_v.real) \
-                    + np.einsum("ij,ij->i", pool_v.imag, pool_v.imag)
+            if start == size:
+                v = None  # the spent batch's rows go before the next's
+                x = basis.propose(idx, size, gen)
+                v = rows(x)
+                sq = np.einsum("ij,ij->i", v.real, v.real) \
+                    + np.einsum("ij,ij->i", v.imag, v.imag)
+                test = gen.random(size) * sq
+                res = sq.copy()
                 if j:
-                    coef = frame[:j] @ pool_v.conj().T
-                    pool_r -= np.einsum("ij,ij->j", coef.real, coef.real) \
-                        + np.einsum("ij,ij->j", coef.imag, coef.imag)
-                # residuals only fall as the frame grows, so checking
-                # fresh proposals covers every later test of them
-                worst = float(pool_r.max())
-                if worst > bound:
-                    raise RejectionBoundError(
-                        f"residual density {worst} exceeded rejection bound "
-                        f"{bound}", observed=worst)
-            hits = np.flatnonzero(gen.random(pool_r.size) * bound < pool_r)
+                    c = np.matmul(frame[:j], v.T, out=coef[:j])
+                    res -= np.einsum("ij,ij->j", c.real, c.real) \
+                        + np.einsum("ij,ij->j", c.imag, c.imag)
+                start = 0
+            hits = np.flatnonzero(test[start:] < res[start:])
             if not hits.size:
-                pool_r = pool_r[:0]
+                start = size
                 continue
-            h = hits[0]
-            x, new_vec = pool_x[h], pool_v[h]
-            rest = slice(h + 1, None)
-            pool_x, pool_v, pool_r = pool_x[rest], pool_v[rest], pool_r[rest]
+            h = start + hits[0]
+            start = h + 1
+            # the conjugate of v's component off the frame, from its kept
+            # coefficients; a second pass only if the first lost over half
+            # the squared norm
+            u = v[h].conj()
             if j:
                 e = frame[:j]
-                new_vec = new_vec - (e @ new_vec.conj()).conj() @ e
-                # second pass makes the Gram-Schmidt numerically safe
-                new_vec = new_vec - (e @ new_vec.conj()).conj() @ e
-            norm = np.linalg.norm(new_vec)
+                u -= coef[:j, h].conj() @ e
+                if np.vdot(u, u).real < 0.5 * sq[h]:
+                    u -= (e @ u.conj()).conj() @ e
+            norm = np.linalg.norm(u)
             if norm < 1e-12:
                 # accepted into an already-exhausted direction (pure
                 # rounding artifact, probability ~0); propose again
                 continue
-            pts[j] = x
-            frame[j] = new_vec / norm
-            if pool_r.size:
-                coef = pool_v @ frame[j].conj()
-                pool_r -= coef.real * coef.real + coef.imag * coef.imag
+            pts[j] = x[h]
+            frame[j] = u / norm
+            if start < size:
+                c = np.matmul(v[start:], frame[j], out=coef[j, start:])
+                res[start:] -= c.real * c.real + c.imag * c.imag
             break
     return pts
 

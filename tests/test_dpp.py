@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
+from scipy.stats import chisquare, kstest
 
-import dsncp.dpp
 from dsncp.core import (
     Disc,
     ExistenceError,
     ParameterError,
     Rect,
-    RejectionBoundError,
     RngStream,
 )
 from dsncp.dpp import (
@@ -29,7 +28,6 @@ from dsncp.dpp import (
     sample_dpp,
     _FourierBasis,
     _GinibreBasis,
-    _sample_projection,
 )
 
 
@@ -503,18 +501,21 @@ class TestBasisRows:
 
     @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
                                           (0.6, 20.0, 1.0)])
-    def test_ginibre_bound_is_the_grid_maximum(self, nu, lam, r):
+    def test_ginibre_proposal_radii(self, nu, lam, r):
+        # with the index fixed at i (from 0), coef |u|^2 of a proposal is
+        # Gamma(i + 1, 1) truncated at t = coef r^2, whose CDF is
+        # P(i + 1, x) / P(i + 1, t); the last kept index is the one furthest
+        # into the Poisson tail
         spec = ginibre_spectrum(GinibreParams(nu, lam), r)
         basis, m = spec.basis, spec.eigenvalues.size
-        s = np.linspace(0.0, r, 4097)[:, None]
-        rng = np.random.default_rng(6)
-        for idx in (np.arange(m), np.arange(1, m),
-                    np.flatnonzero(rng.random(m) < 0.4),
-                    np.array([0, 3]), np.array([m - 1])):
-            mass = (np.exp(2.0 * basis.log_norms[idx] - basis.coef * s * s)
-                    * s ** (2 * idx)).sum(axis=1)
-            assert basis.sup_sq_bound(idx) == pytest.approx(mass.max(),
-                                                            rel=1e-12)
+        t = basis.coef * r * r
+        gen = np.random.default_rng(8)
+        for i in sorted({0, 1, 2, m // 2, m - 1}):
+            pts = basis.propose(np.array([i]), 4000, gen)
+            assert np.all(spec.domain.contains(pts))
+            x = basis.coef * (pts * pts).sum(axis=1)
+            cdf = lambda y: gammainc(i + 1.0, y) / gammainc(i + 1.0, t)
+            assert kstest(x, cdf).pvalue > 1e-3, (i, m)
 
     @pytest.mark.parametrize("family", ["gaussian", "ginibre"])
     def test_interleaved_draws_repeat(self, family):
@@ -541,40 +542,46 @@ class TestBasisRows:
         assert draws == [fresh[1], fresh[b], fresh[1]]
 
 
-class TestRejectionBound:
-    def test_bound_below_density_raises_with_observed(self):
-        rect = Rect(0.0, 2.0, 0.0, 1.0)
-        spec = gaussian_dpp_spectrum(GaussianDpp(20.0, 0.1), rect)
-        idx = np.arange(spec.eigenvalues.size)
-        # each |phi_i|^2 is 1/|D|, so the first residual is k/|D| everywhere
-        bound = 0.5 * idx.size / rect.area
-        with pytest.raises(RejectionBoundError) as err:
-            _sample_projection(spec, idx, bound, np.random.default_rng(0))
-        assert err.value.observed > bound
-
+class TestProposal:
     @pytest.mark.parametrize("basis", [_FourierBasis, _GinibreBasis])
-    def test_sample_dpp_restarts_after_a_low_bound(self, basis, monkeypatch):
+    def test_sample_dpp_proposes_from_the_diagonal(self, basis):
+        # the share of proposals in each cell against the integral of
+        # ||v(x)||^2 / k over it: a quarter of the rectangle each, where
+        # ||v||^2 = k/|D|; on 8 annuli x 4 sectors of the disc, from the
+        # rows the sampler tests, by Gauss-Legendre in the radius (||v||^2
+        # is radial, so the angle integrates exactly)
         if basis is _FourierBasis:
             spec = gaussian_dpp_spectrum(GaussianDpp(20.0, 0.1),
                                          Rect(0.0, 2.0, 0.0, 1.0))
         else:
             spec = ginibre_spectrum(GinibreParams(1.0, 20.0), r=1.0)
-        true_bound = basis.sup_sq_bound
-        monkeypatch.setattr(basis, "sup_sq_bound",
-                            lambda self, idx: 0.2 * true_bound(self, idx))
-        calls = []
-        sample = dsncp.dpp._sample_projection
-
-        def spy(*args):
-            calls.append(args[2])
-            return sample(*args)
-
-        monkeypatch.setattr(dsncp.dpp, "_sample_projection", spy)
         idx = _selection(spec, RngStream(3, 0))
-        p = sample_dpp(spec, RngStream(3, 0))
-        assert p.n == idx.size
-        assert len(calls) >= 2
-        assert calls[1] > calls[0]
+        k, rows = idx.size, spec.basis.rows(idx)
+        pts = spec.basis.propose(idx, 40000, np.random.default_rng(9))
+        if basis is _FourierBasis:
+            rect = spec.domain
+            cx, cy = (rect.xmin + rect.xmax) / 2, (rect.ymin + rect.ymax) / 2
+            cell = 2 * (pts[:, 0] > cx) + (pts[:, 1] > cy)
+            expect = np.full(4, 0.25)
+        else:
+            r = spec.domain.radius
+            edges = np.linspace(0.0, r, 9)
+            s = np.hypot(pts[:, 0], pts[:, 1])
+            theta = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+            cell = (4 * np.minimum(np.searchsorted(edges, s) - 1, 7)
+                    + np.minimum((theta // (math.pi / 2)).astype(int), 3))
+            nodes, weights = np.polynomial.legendre.leggauss(40)
+            ring = np.empty(8)
+            for a in range(8):
+                lo, hi = edges[a], edges[a + 1]
+                rad = lo + (hi - lo) * (nodes + 1) / 2
+                v = rows(np.column_stack((rad, np.zeros_like(rad))))
+                mass = (np.abs(v) ** 2).sum(axis=1)
+                ring[a] = math.pi * (hi - lo) * np.sum(weights * mass * rad)
+            expect = np.repeat(ring / (4 * k), 4)
+        assert expect.sum() == pytest.approx(1.0, rel=1e-9)
+        counts = np.bincount(cell, minlength=expect.size)
+        assert chisquare(counts, expect * len(pts)).pvalue > 1e-3
 
 
 class TestNthOrderIntensity:

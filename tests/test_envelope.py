@@ -7,9 +7,11 @@ min(1, 5) = 1, so the observed curve ties with the bottom simulation;
 the conservative tie rule then gives p = 2/5.
 """
 
+import ctypes
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from dsncp.core import (
     ParameterError,
     PointPattern,
     Rect,
-    RejectionBoundError,
     RngStream,
     write_json,
 )
@@ -241,6 +242,22 @@ class TestGlobalEnvelope:
         assert meta["n_sim"] == 4
 
 
+def _blas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        getter = getattr(ctypes.CDLL(str(path)),
+                         "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def _blas_threads(_) -> int:
+    return _blas_thread_getter()()
+
+
 def thomas_pattern(seed=70, gamma=6.0, rho=50.0, alpha=0.05):
     m = ModelParams(family="thomas", gamma=gamma, alpha=alpha, rho_Y=rho)
     return m, sample_model(m, UNIT, rng=RngStream(seed=seed))
@@ -319,6 +336,16 @@ class TestEnvelopeTest:
         assert seq.p_value == par.p_value
         np.testing.assert_array_equal(seq.lower, par.lower)
         np.testing.assert_array_equal(seq.upper, par.upper)
+
+    def test_pool_workers_run_one_blas_thread(self):
+        # where numpy bundles scipy-openblas; the parent keeps its count
+        getter = _blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy bundles no scipy-openblas library")
+        before = getter()
+        with dsncp.envelope._process_pool(2) as pool:
+            assert set(pool.map(_blas_threads, range(4))) == {1}
+        assert getter() == before
 
     def test_pcf_statistic_trims_grid(self):
         m, p = thomas_pattern(seed=75)
@@ -444,8 +471,7 @@ class TestStudy:
         def flaky(*args, **kwargs):
             draws.append(args)
             if len(draws) == 1:
-                raise RejectionBoundError("bound exceeded for the test",
-                                          observed=2.0)
+                raise ParameterError("refused for the test")
             return sample(*args, **kwargs)
         monkeypatch.setattr(dsncp.envelope, "sample_model", flaky)
         cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
@@ -456,7 +482,7 @@ class TestStudy:
         assert result.errors == [{
             "true_family": "thomas", "alpha": 0.05, "gamma": 8.0,
             "rhoY": 30.0, "replicate": 0, "stage": "simulate",
-            "error": "bound exceeded for the test"}]
+            "error": "refused for the test"}]
         assert len(result.rows) == 1
         assert result.rows[0].replicates_ok == 1
         assert 0.0 <= result.rows[0].reject_rate <= 1.0
