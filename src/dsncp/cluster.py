@@ -176,8 +176,12 @@ MAX_EXPECTED_POINTS = 1e7
 # domain (``_dpp_domain``). The sampler holds a k x k complex frame and a
 # pool of n = min(k, 4096) proposals, each with its row and coefficients
 # (two n x k complex blocks), and builds a batch's rows with one more such
-# block: 16 (k^2 + 3 n k) bytes, 4 times the frame up to k = 4096 and
-# 2.5 GiB at this limit. It costs about k^3 log k; the tests and benchmark
+# block: 16 (k^2 + 3 n k) bytes. Its first deflation drops the
+# coefficients and holds a complete QR of the frame's rows (2 k^2 more, in
+# its factor and numpy's copies) beside the frame and the pool's rows:
+# 16 (3 k^2 + n k) bytes. Later spaces are at most half as wide. The peak
+# is 4 times the frame up to k = 4096 and 3.5 GiB at this limit. A draw
+# costs about k^3 log k, and k^3 once it deflates; the tests and benchmark
 # draw k up to 551.
 MAX_EXPECTED_RANK = 8192
 

@@ -44,8 +44,30 @@ coefficients in one pass; a second pass runs only when the first removed
 more than half its squared norm ("twice is enough"). The frame holds the
 conjugates of the e_l, so a coefficient block is the plain product
 frame @ v with no conjugate copy of the pool; moduli, and hence residuals,
-are unchanged. A draw costs O(k^2) per tested proposal; the rows v are
-computed separably (Fourier) or in one pass.
+are unchanged. A step that accepts a point whose row is left with less
+than 1e-12 of its norm proposes again: a rounding artifact of probability
+about 0, judged relative to the proposal's own ||v||, so that a window of
+any size (where ||v||^2 = k/|D| for Fourier) draws alike.
+
+Late steps test many proposals (about k/(k - j) per point), and each one
+would still be projected on all j frame rows. So the frame deflates: once
+it spans ``_DEFLATE_SHARE`` (a half) of the current space of dimension r,
+and at least ``_DEFLATE_FLOOR`` (96) dimensions would remain, one complete
+QR of its rows gives C, orthonormal rows spanning their complement. The
+sampler then works in C's coordinates: P <- C P (P starts as the identity
+and is not formed before the first deflation), each pending proposal's
+coordinates a <- C a, and new batches enter as a = P v. The frame and the
+kept coefficients restart empty in the smaller space. Nothing the
+acceptance test sees changes: ||C a||^2 is the pending residual already,
+a residual is ||a||^2 less its squared coefficients on the new frame, and
+the proposal, its uniform and the bound u ||v||^2 are those of the
+undeflated sampler, so the law is the same chain rule and seeded draws
+agree with an undeflated run up to rounding in the residuals. The
+second-pass threshold compares against ||a||^2, the norm left in the
+current space. A late proposal then costs O((k - j) k) for its
+coordinates instead of O(j k), against one QR and one product into P per
+halving, so a draw costs O(k^3) in all; the rows v are computed
+separably (Fourier) or in one pass.
 """
 
 from __future__ import annotations
@@ -361,8 +383,12 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     draw needs no bound and never restarts. Proposals come in batches of
     min(k, 4096) with their uniforms, their basis rows computed separably
     (Fourier) or in one pass (Ginibre), and untested ones stay pending
-    across steps with the coefficients they gained (see the module
-    docstring).
+    across steps with the coefficients they gained. Once the frame of
+    accepted rows spans half the current space and at least 96 dimensions
+    would remain, the sampler moves into the frame's complement by one QR,
+    so late proposals are projected on the few dimensions left, not on
+    every row drawn; the residuals, and so the law, are unchanged (see the
+    module docstring).
     """
     gen = rng.generator
     idx = np.flatnonzero(gen.random(spec.eigenvalues.size) < spec.eigenvalues)
@@ -371,57 +397,94 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     return PointPattern(_sample_projection(spec.basis, idx, gen), spec.domain)
 
 
+# Deflation (see the module docstring): once the frame spans this share of
+# the current space, and at least this many dimensions would remain, the
+# sampler moves into the frame's complement. Below the floor a QR of the
+# frame and the products into P cost about what they save, so a draw of
+# rank below 2 * 96 never deflates.
+_DEFLATE_SHARE = 0.5
+_DEFLATE_FLOOR = 96
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a complex block."""
+    return (np.einsum("ij,ij->i", a.real, a.real)
+            + np.einsum("ij,ij->i", a.imag, a.imag))
+
+
 def _sample_projection(basis, idx: np.ndarray,
                        gen: np.random.Generator) -> np.ndarray:
     k = idx.size
     rows = basis.rows(idx)
     size = min(k, 4096)
-    # conjugates of the orthonormal rows e_0, ..., e_{j-1}, and each
-    # pending proposal's coefficients <e_l, v> = (frame @ v)_l, l < j
+    # conjugates of the orthonormal rows e_0, ..., e_{jj-1} of the frame in
+    # the current space's coordinates, and each pending proposal's
+    # coefficients <e_l, a> = (frame @ a)_l, l < jj
     frame = np.empty((k, k), dtype=complex)
     coef = np.empty((k, size), dtype=complex)
     pts = np.empty((k, 2))
-    start = size  # pending proposals are those at start, ..., size - 1
+    proj = None  # P, orthonormal rows spanning the current space; None is I
+    r, jj = k, 0  # the current space's dimension and the frame's rows in it
+    # the pending proposals are those from start on, with their
+    # coordinates a = v @ P.T and squared norms asq = ||a||^2
+    start, test = 0, np.empty(0)
     for j in range(k):
+        if jj >= _DEFLATE_SHARE * r and r - jj >= _DEFLATE_FLOOR:
+            # C: orthonormal rows spanning the frame's complement, in which
+            # the frame restarts; the pending residuals are ||C a||^2 already.
+            # The coefficients (and c, a view of them) go before the QR.
+            coef = c = None
+            comp = np.ascontiguousarray(
+                np.linalg.qr(frame[:jj].T, mode="complete")[0][:, jj:].T)
+            proj = comp if proj is None else comp @ proj
+            x, sq, test, res = x[start:], sq[start:], test[start:], res[start:]
+            a = a[start:] @ comp.T
+            asq = _sq_norms(a)
+            start, r, jj = 0, r - jj, 0
+            frame = np.empty((r, r), dtype=complex)
+            coef = np.empty((r, size), dtype=complex)
         while True:
-            if start == size:
-                v = None  # the spent batch's rows go before the next's
+            if start == len(test):
+                a = None  # the spent batch's rows go before the next's
                 x = basis.propose(idx, size, gen)
-                v = rows(x)
-                sq = np.einsum("ij,ij->i", v.real, v.real) \
-                    + np.einsum("ij,ij->i", v.imag, v.imag)
+                a = rows(x)
+                sq = _sq_norms(a)
                 test = gen.random(size) * sq
-                res = sq.copy()
-                if j:
-                    c = np.matmul(frame[:j], v.T, out=coef[:j])
+                if proj is not None:
+                    a = a @ proj.T
+                asq = sq if proj is None else _sq_norms(a)
+                res = asq.copy()
+                if jj:
+                    c = np.matmul(frame[:jj], a.T, out=coef[:jj])
                     res -= np.einsum("ij,ij->j", c.real, c.real) \
                         + np.einsum("ij,ij->j", c.imag, c.imag)
                 start = 0
             hits = np.flatnonzero(test[start:] < res[start:])
             if not hits.size:
-                start = size
+                start = len(test)
                 continue
             h = start + hits[0]
             start = h + 1
-            # the conjugate of v's component off the frame, from its kept
+            # the conjugate of a's component off the frame, from its kept
             # coefficients; a second pass only if the first lost over half
             # the squared norm
-            u = v[h].conj()
-            if j:
-                e = frame[:j]
-                u -= coef[:j, h].conj() @ e
-                if np.vdot(u, u).real < 0.5 * sq[h]:
+            u = a[h].conj()
+            if jj:
+                e = frame[:jj]
+                u -= coef[:jj, h].conj() @ e
+                if np.vdot(u, u).real < 0.5 * asq[h]:
                     u -= (e @ u.conj()).conj() @ e
             norm = np.linalg.norm(u)
-            if norm < 1e-12:
+            if norm * norm < 1e-24 * sq[h]:
                 # accepted into an already-exhausted direction (pure
                 # rounding artifact, probability ~0); propose again
                 continue
             pts[j] = x[h]
-            frame[j] = u / norm
-            if start < size:
-                c = np.matmul(v[start:], frame[j], out=coef[j, start:])
+            frame[jj] = u / norm
+            if start < len(test):
+                c = np.matmul(a[start:], frame[jj], out=coef[jj, start:len(test)])
                 res[start:] -= c.real * c.real + c.imag * c.imag
+            jj += 1
             break
     return pts
 

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import chisquare, kstest
 
+from dsncp import dpp
 from dsncp.core import (
     Disc,
     ExistenceError,
@@ -361,6 +367,64 @@ def small_spectra(draw):
     return ginibre_spectrum(GinibreParams(nu, lam), r)
 
 
+def _forced_deflation():
+    """The sampler deflating as often as it can: once the frame spans a
+    quarter of the current space and two dimensions would remain."""
+    return mock.patch.multiple(dpp, _DEFLATE_SHARE=0.25, _DEFLATE_FLOOR=2)
+
+
+def _deflation_count(spec, rng):
+    """How many times ``sample_dpp`` deflates its frame in one draw: one
+    complete QR each."""
+    qr = np.linalg.qr
+    with mock.patch.object(np.linalg, "qr", side_effect=qr) as spy:
+        sample_dpp(spec, rng)
+    return spy.call_count
+
+
+def _check_full_rank_k_point_set(spec, seed):
+    idx = _selection(spec, RngStream(seed, 1))
+    p = sample_dpp(spec, RngStream(seed, 1))
+    assert p.n == idx.size
+    assert np.all(spec.domain.contains(p.points))
+    if idx.size:
+        v = spec.basis.rows(idx)(p.points)
+        assert np.linalg.matrix_rank(v) == idx.size
+    again = sample_dpp(spec, RngStream(seed, 1))
+    assert np.array_equal(p.points, again.points)
+
+
+def _check_fourier_projection_law(seed):
+    # all-ones spectrum on S = {s in Z^2 : |s|^2 < 10}: for q != 0,
+    # E[|sum_i exp(2 pi i q.x_i)|^2] - k = -#{(s, t) in S^2 : s - t = q}
+    rect = Rect(0.0, 1.0, 0.0, 1.0)
+    freqs = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)
+                      if a * a + b * b < 10])
+    k = len(freqs)
+    assert k == 29
+    spec = DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
+    qs = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (5, 2)])
+    diffs = freqs[:, None, :] - freqs[None, :, :]
+    n_q = np.array([np.all(diffs == q, axis=-1).sum() for q in qs])
+    root = RngStream(seed, 0)
+    reps = 2000
+    stat = np.empty((reps, qs.shape[0]))
+    for i in range(reps):
+        x = sample_dpp(spec, root.substream(i)).points
+        assert x.shape == (k, 2)
+        stat[i] = np.abs(np.exp(2j * math.pi * x @ qs.T).sum(axis=0)) ** 2 - k
+    dev = stat + n_q
+    z = dev.mean(axis=0) / (dev.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.all(np.abs(z) <= 4.0), z
+    # jointly: Hotelling's T^2 is about chi^2 with 6 degrees of freedom,
+    # and 27.86 is its 1e-4 upper quantile. A sampler that tests pending
+    # proposals against stale residuals shifts all six means the same
+    # way and reads T^2 = 35-56 at seeds 7, 11-14.
+    mean = dev.mean(axis=0)
+    t2 = reps * mean @ np.linalg.solve(np.cov(dev, rowvar=False), mean)
+    assert t2 <= 27.86, (t2, z)
+
+
 class TestProjectionSampler:
     """The sequential step, seen apart from the Bernoulli selection: a
     projection DPP of rank k has exactly k points."""
@@ -368,46 +432,88 @@ class TestProjectionSampler:
     @given(spec=small_spectra(), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
     def test_draw_is_a_full_rank_k_point_set(self, spec, seed):
-        idx = _selection(spec, RngStream(seed, 1))
-        p = sample_dpp(spec, RngStream(seed, 1))
-        assert p.n == idx.size
-        assert np.all(spec.domain.contains(p.points))
-        if idx.size:
-            v = spec.basis.rows(idx)(p.points)
-            assert np.linalg.matrix_rank(v) == idx.size
-        again = sample_dpp(spec, RngStream(seed, 1))
-        assert np.array_equal(p.points, again.points)
+        _check_full_rank_k_point_set(spec, seed)
+
+    @given(spec=small_spectra(), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_deflating_draw_is_a_full_rank_k_point_set(self, spec, seed):
+        with _forced_deflation():
+            _check_full_rank_k_point_set(spec, seed)
 
     @pytest.mark.slow
     def test_fourier_projection_law(self):
-        # all-ones spectrum on S = {s in Z^2 : |s|^2 < 10}: for q != 0,
-        # E[|sum_i exp(2 pi i q.x_i)|^2] - k = -#{(s, t) in S^2 : s - t = q}
-        rect = Rect(0.0, 1.0, 0.0, 1.0)
-        freqs = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)
-                          if a * a + b * b < 10])
-        k = len(freqs)
-        assert k == 29
-        spec = DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
-        qs = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (5, 2)])
-        diffs = freqs[:, None, :] - freqs[None, :, :]
-        n_q = np.array([np.all(diffs == q, axis=-1).sum() for q in qs])
-        root = RngStream(7, 0)
-        reps = 2000
-        stat = np.empty((reps, qs.shape[0]))
-        for i in range(reps):
-            x = sample_dpp(spec, root.substream(i)).points
-            assert x.shape == (k, 2)
-            stat[i] = np.abs(np.exp(2j * math.pi * x @ qs.T).sum(axis=0)) ** 2 - k
-        dev = stat + n_q
-        z = dev.mean(axis=0) / (dev.std(axis=0, ddof=1) / math.sqrt(reps))
-        assert np.all(np.abs(z) <= 4.0), z
-        # jointly: Hotelling's T^2 is about chi^2 with 6 degrees of freedom,
-        # and 27.86 is its 1e-4 upper quantile. A sampler that tests pending
-        # proposals against stale residuals shifts all six means the same
-        # way and reads T^2 = 35-56 at seeds 7, 11-14.
-        mean = dev.mean(axis=0)
-        t2 = reps * mean @ np.linalg.solve(np.cov(dev, rowvar=False), mean)
-        assert t2 <= 27.86, (t2, z)
+        _check_fourier_projection_law(seed=7)
+
+    @pytest.mark.slow
+    def test_deflating_fourier_projection_law(self):
+        # k = 29 never deflates at the default floor; forced, every draw
+        # deflates eight times (29 -> 21 -> 15 -> 11 -> 8 -> 6 -> 4 -> 3 -> 2)
+        with _forced_deflation():
+            _check_fourier_projection_law(seed=7)
+
+    def test_deflation_counts(self):
+        def all_ones(k):
+            rect = Rect(0.0, 1.0, 0.0, 1.0)
+            grid = np.array([(a, b) for a in range(-12, 13)
+                             for b in range(-12, 13)])
+            freqs = grid[np.argsort((grid ** 2).sum(axis=1), kind="stable")][:k]
+            return DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
+
+        assert _deflation_count(all_ones(29), RngStream(3, 0)) == 0
+        with _forced_deflation():
+            assert _deflation_count(all_ones(29), RngStream(3, 0)) == 8
+        # a rank of 191 stays below the floor; 400 halves to 200 and 100,
+        # and 100 - 50 < 96
+        assert _deflation_count(all_ones(191), RngStream(3, 0)) == 0
+        assert _deflation_count(all_ones(400), RngStream(3, 0)) == 2
+
+    @pytest.mark.parametrize("family", ["gaussian", "ginibre"])
+    def test_deflation_keeps_the_draw(self, family):
+        # the pending residuals carry over and the proposals, uniforms and
+        # tests are the same, so a draw that deflates accepts the same
+        # proposals as one that never does (these ranks are below the
+        # default floor), up to rounding in the residuals
+        if family == "gaussian":
+            spec = gaussian_dpp_spectrum(GaussianDpp(105.36, 0.05),
+                                         Rect(0.0, 1.0, 0.0, 1.0))
+        else:
+            spec = ginibre_spectrum(GinibreParams(1.0, 35.32), r=0.8)
+        for seed in range(4):
+            never = sample_dpp(spec, RngStream(seed, 0)).points
+            with mock.patch.object(dpp, "_DEFLATE_FLOOR", 16):
+                halving = sample_dpp(spec, RngStream(seed, 0)).points
+            with _forced_deflation():
+                forced = sample_dpp(spec, RngStream(seed, 0)).points
+            assert never.shape[0] > 40
+            assert np.array_equal(halving, never)
+            assert np.array_equal(forced, never)
+
+    def test_large_window_draw_scales_exactly(self):
+        # the unit square and the square scaled by 2^44, with rho_Y 2^-88
+        # and beta 2^44: every float of the draw scales by a power of two,
+        # so the points do too, to the bit. There ||v||^2 = k/|D| is about
+        # 1e-24, below any absolute guard on a row's norm, so the draw runs
+        # in a child that cannot hang this process.
+        script = (
+            "import math\n"
+            "import numpy as np\n"
+            "from dsncp.core import Rect, RngStream\n"
+            "from dsncp.dpp import GaussianDpp, gaussian_dpp_spectrum, "
+            "sample_dpp\n"
+            "rho, s = 100.0, 2.0 ** 44\n"
+            "beta = 0.9 / math.sqrt(math.pi * rho)\n"
+            "unit, big = (sample_dpp(gaussian_dpp_spectrum(\n"
+            "    GaussianDpp(rho / (c * c), beta * c), Rect(0.0, c, 0.0, c)),\n"
+            "    RngStream(5, 0)).points for c in (1.0, s))\n"
+            "assert unit.shape[0] > 60, unit.shape\n"
+            "assert np.array_equal(big, s * unit)\n")
+        src = str(Path(dpp.__file__).parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _fourier_direct(basis, pts, idx):
