@@ -116,9 +116,13 @@ class Rect:
     def set_covariance(self, h: np.ndarray) -> np.ndarray:
         """Area of the window intersected with its translate by each lag
         (row) of ``h``."""
-        h = np.abs(np.asarray(h, dtype=float).reshape(-1, 2))
+        h = np.asarray(h, dtype=float).reshape(-1, 2)
         lx, ly = self.side_lengths
-        return np.maximum(0.0, lx - h[:, 0]) * np.maximum(0.0, ly - h[:, 1])
+        # the side gaps max(0, l - |h|), formed in place
+        gx, gy = np.abs(h[:, 0]), np.abs(h[:, 1])
+        np.maximum(np.subtract(lx, gx, out=gx), 0.0, out=gx)
+        np.maximum(np.subtract(ly, gy, out=gy), 0.0, out=gy)
+        return np.multiply(gx, gy, out=gx)
 
     def sample_uniform(self, n: int, gen: np.random.Generator) -> np.ndarray:
         u = gen.random((n, 2))

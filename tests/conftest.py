@@ -9,8 +9,8 @@ from dsncp.core import RngStream
 
 @pytest.fixture
 def pair_searches(monkeypatch):
-    """A list that gets one entry per pair search ``K_hat`` runs (its call
-    of ``summaries._translation_pairs``)."""
+    """A list that gets one entry per pair search ``K_hat`` or ``pcf_hat``
+    runs (their calls of ``summaries._translation_pairs``)."""
     searches = []
     search = dsncp.summaries._translation_pairs
 

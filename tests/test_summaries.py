@@ -8,7 +8,12 @@ Estimators are checked against brute-force reimplementations and CSR
 Monte Carlo.
 """
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +311,15 @@ class TestSummaryCurve:
         with pytest.raises(ParameterError):
             SummaryCurve(np.array([0.0, 0.5]), np.zeros(2), "what")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator", [F_hat, G_hat, J_hat, K_hat, pcf_hat])
+    def test_non_finite_grid_is_refused(self, estimator, bad):
+        p = PointPattern(UNIT.sample_uniform(20, RngStream(seed=3).generator),
+                         UNIT)
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"grid values must be finite, got {bad}")):
+            estimator(p, np.array([0.05, 0.1, bad]))
+
     def test_csv_round_trip(self, tmp_path, capsys):
         # every CSV the package writes comes from core.csv_text: a header,
         # then rows of %.17g values, which parse back bit for bit (NaN as
@@ -530,22 +544,87 @@ class TestPcfHat:
     def test_brute_force_agreement_on_disc(self):
         self.check_brute_force(DISC, 100)
 
-    def test_kernel_sum_has_no_cancellation(self):
-        # 3000 uniform points on a 2 x 0.5 strip, grid to 0.6 (past the
-        # short side), default bandwidth: each value must match an exactly
-        # rounded kernel sum over the estimator's own pairs
-        w = Rect(0.0, 2.0, 0.0, 0.5)
-        p = PointPattern(w.sample_uniform(3000, RngStream(seed=31).generator), w)
-        b = default_pcf_bandwidth(p)
-        grid = np.linspace(0.0, 0.6, 513)[8::8]
-        got = pcf_hat(p, grid).values
+    # (window, n, bandwidth or None for the default, grid from bandwidth)
+    SUM_CASES = {
+        # grid to 0.6, past the strip's short side
+        "strip": (Rect(0.0, 2.0, 0.0, 0.5), 3000, None,
+                  lambda b: np.linspace(0.0, 0.6, 513)[8::8]),
+        "geometric": (UNIT, 2000, None, lambda b: np.geomspace(b, 0.3, 40)),
+        "dense": (UNIT, 2000, None,
+                  lambda b: 0.1 + np.linspace(0.0, b, 50, endpoint=False)),
+        "disc": (DISC, 2000, None, lambda b: np.linspace(0.0, 0.25, 65)[1:]),
+        # a bandwidth wider than the grid's span
+        "wide": (UNIT, 1000, 0.1, lambda b: np.linspace(0.06, 0.1, 9)),
+    }
+
+    @pytest.mark.parametrize("case", SUM_CASES)
+    def test_kernel_sum_has_no_cancellation(self, case):
+        # uniform points: each value must match an exactly rounded kernel
+        # sum over the estimator's own pairs
+        w, n, bandwidth, make_grid = self.SUM_CASES[case]
+        p = PointPattern(w.sample_uniform(n, RngStream(seed=31).generator), w)
+        b = default_pcf_bandwidth(p) if bandwidth is None else bandwidth
+        grid = make_grid(b)
+        got = pcf_hat(p, grid, bandwidth=b).values
         d, wgt = _translation_pairs(p, grid[-1] + b)
         want = np.empty(grid.size)
         for i, r in enumerate(grid):
             near = np.abs(r - d) <= b
             want[i] = math.fsum(wgt[near] * (1.0 - ((r - d[near]) / b) ** 2))
-        want *= 0.75 / b * w.area ** 2 / (2.0 * math.pi * grid * 3000 * 2999)
+        want *= 0.75 / b * w.area ** 2 / (2.0 * math.pi * grid * n * (n - 1))
+        assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_no_pair_in_reach(self):
+        p = PointPattern(np.array([[0.1, 0.1], [0.9, 0.9]]), UNIT)
+        c = pcf_hat(p, np.array([0.05, 0.1, 0.2]), bandwidth=0.05)
+        assert c.values.tolist() == [0.0, 0.0, 0.0]
+
+    def test_bandwidth_whose_square_underflows(self):
+        # b * b is 0; the pair exactly 0.1 apart still adds 0.75 / b
+        p = PointPattern(np.array([[0.1, 0.1], [0.2, 0.1], [0.5, 0.5]]), UNIT)
+        b = 1e-170
+        got = pcf_hat(p, np.array([0.05, 0.1, 0.3]), bandwidth=b).values
+        want = 0.75 / b * (2.0 / 0.9) / (2.0 * math.pi * 0.1 * 6)
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_bandwidth_in_1gib(self):
+        # at b = 1e-9 on a grid to 0.25, bins of width b/128 would number
+        # 3.2e10; the estimate must fit in a child that may map 1 GiB. Some
+        # pairs sit within b of grid points, so the values are not all zero.
+        b = 1e-9
+        grid = np.linspace(0.25 / 32, 0.25, 32)
+        gen = RngStream(seed=41).generator
+        offsets = gen.uniform(-0.8 * b, 0.8 * b, 6)
+        pts = np.vstack([UNIT.sample_uniform(30, gen), [[0.1, 0.5]],
+                         np.column_stack([0.1 + grid[::6] + offsets,
+                                          np.full(6, 0.5)])])
+        code = ("import json, resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+                "import numpy as np; "
+                "from dsncp.core import PointPattern, Rect; "
+                "from dsncp.summaries import pcf_hat; "
+                "pts, grid, b = json.load(sys.stdin); "
+                "p = PointPattern(np.array(pts), Rect(0.0, 1.0, 0.0, 1.0)); "
+                "print(json.dumps(pcf_hat(p, grid, bandwidth=b).values.tolist()))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            input=json.dumps([pts.tolist(), grid.tolist(), b]),
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        got = np.array(json.loads(proc.stdout))
+
+        def kernel(d):
+            t = grid - d
+            return np.where(np.abs(t) <= b,
+                            0.75 / b * (1.0 - t ** 2 / b ** 2), 0.0)
+
+        n = len(pts)
+        want = ordered_pair_sum(pts, UNIT, kernel)
+        want *= UNIT.area ** 2 / (2.0 * math.pi * grid * n * (n - 1))
+        assert np.count_nonzero(want) >= 6
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
 
     def test_default_bandwidth(self):
         gen = RngStream(seed=21).generator
@@ -558,6 +637,8 @@ class TestPcfHat:
             pcf_hat(p, np.array([0.01, 0.1]), bandwidth=0.05)
         c = pcf_hat(p, np.array([0.026, 0.1]), bandwidth=0.05)
         assert c.values.shape == (2,)
+        with pytest.raises(ParameterError, match="plus bandwidth"):
+            pcf_hat(p, np.array([1e308, 1.7e308]), bandwidth=1e308)
 
     @pytest.mark.slow
     def test_csr_mean_is_flat_one(self):
