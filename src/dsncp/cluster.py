@@ -53,6 +53,13 @@ class Family(str, Enum):
     def is_dpp(self) -> bool:
         return self is not Family.THOMAS
 
+    @property
+    def kernel(self) -> type[GaussianDpp] | type[GinibreDpp] | None:
+        """The centres' DPP kernel class; None for Thomas."""
+        if self is Family.GAUSSIAN:
+            return GaussianDpp
+        return GinibreDpp if self is Family.GINIBRE else None
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -78,8 +85,7 @@ class ModelParams:
         if self.family.is_dpp:
             if self.beta is None:
                 raise ParameterError(f"{self.family.value} requires beta")
-            kernel = (GaussianDpp if self.family is Family.GAUSSIAN
-                      else GinibreDpp)(self.rho_Y, self.beta)
+            kernel = self.family.kernel(self.rho_Y, self.beta)
         elif self.beta is not None:
             raise ParameterError("beta is not a Thomas parameter")
         object.__setattr__(self, "_kernel", kernel)

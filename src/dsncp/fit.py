@@ -22,7 +22,7 @@ from .core import (
     ParameterError,
     PointPattern,
 )
-from .summaries import K_hat, K_theoretical
+from .summaries import K_hat, _K_closed_form
 
 _PENALTY = 1e12
 
@@ -140,17 +140,10 @@ def estimate_gamma(p: PointPattern, rho_Y: float) -> float:
     return p.n / (p.window.area * rho_Y)
 
 
-def _model_from(family: Family, alpha: float, second: float) -> ModelParams:
-    if family is Family.THOMAS:
-        return ModelParams(family=family, gamma=1.0, alpha=alpha, rho_Y=second)
-    return ModelParams.most_repulsive(family=family, gamma=1.0, alpha=alpha,
-                                      beta=second)
-
-
-def _contrast(emp_q: np.ndarray, m: ModelParams, opts: ContrastOptions,
+def _contrast(emp_q: np.ndarray, theo: np.ndarray, opts: ContrastOptions,
               grid: np.ndarray) -> float:
-    """Trapezoid integral of |emp_q - K_model^q|^p over ``grid``."""
-    theo = K_theoretical(m, grid)
+    """Trapezoid integral of |emp_q - theo^q|^p over ``grid``, theo the
+    model's K there."""
     f = np.abs(emp_q - theo ** opts.q) ** opts.p
     return float((np.diff(grid) * (f[1:] + f[:-1]) / 2.0).sum())
 
@@ -187,12 +180,21 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     log_lo = np.log([a_bounds[0], s_bounds[0]])
     log_hi = np.log([a_bounds[1], s_bounds[1]])
 
+    kernel = family.kernel
+
     def objective(theta):
         excess = np.maximum(0.0, log_lo - theta) + np.maximum(0.0, theta - log_hi)
         if excess.any():
             return _PENALTY * (1.0 + float(excess.sum()))
         alpha, second = np.exp(theta)
-        return _contrast(emp_q, _model_from(family, alpha, second), opts, grid)
+        if kernel is None:
+            theo = _K_closed_form(grid, alpha, second, None)
+        else:
+            # the most repulsive model at beta = second, as
+            # ModelParams.most_repulsive builds it
+            theo = _K_closed_form(grid, alpha, most_repulsive_intensity(second),
+                                  second ** 2 * kernel.range_share)
+        return _contrast(emp_q, theo, opts, grid)
 
     runs = []
     for a0 in _log_starts(a_bounds):

@@ -82,13 +82,21 @@ def pcf_theoretical(m: ModelParams, r):
 def K_theoretical(m: ModelParams, r):
     """Ripley's K function of the model at distance(s) r: the integral of
     ``pcf_theoretical`` over the disc of radius r. Vectorized."""
-    r = np.asarray(r, dtype=float)
-    a2 = 4.0 * m.alpha ** 2
-    out = math.pi * r ** 2 - np.expm1(-r * r / a2) / m.rho_Y
-    if m.family.is_dpp:
-        s2 = m.dpp_family().range_sq
-        out = out + math.pi * s2 * np.expm1(-r * r / (a2 + s2))
+    s2 = m.dpp_family().range_sq if m.family.is_dpp else None
+    out = _K_closed_form(np.asarray(r, dtype=float), m.alpha, m.rho_Y, s2)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _K_closed_form(r: np.ndarray, alpha: float, rho_Y: float,
+                   s2: float | None):
+    """K at the distances r for offspring sd alpha and centre intensity
+    rho_Y, with the DPP repulsion term of range_sq s2 (None for Thomas).
+    The contrast fit calls it directly, with no model per evaluation."""
+    a2 = 4.0 * alpha ** 2
+    out = math.pi * r ** 2 - np.expm1(-r * r / a2) / rho_Y
+    if s2 is not None:
+        out = out + math.pi * s2 * np.expm1(-r * r / (a2 + s2))
+    return out
 
 
 def pcf_crossover_radius(m: ModelParams) -> float:

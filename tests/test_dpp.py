@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -517,31 +519,83 @@ class TestProjectionSampler:
 
 
 def _fourier_direct(basis, pts, idx):
-    """exp(2 pi i (k1 (x - x0) / L1 + k2 (y - y0) / L2)) / sqrt(|D|)."""
+    """exp(2 pi i (k1 (x - x0) / L1 + k2 (y - y0) / L2)) / sqrt(|D|).
+
+    Each axis's phase k (x - x0) / L is reduced mod 1 in exact rational
+    arithmetic and only then rounded, so an entry is within about 1e-15 of
+    the formula; a phase formed in doubles would be off by about 1e-16
+    |phase|, 5e-14 at the frequencies below."""
     rect = basis.rect
-    l1, l2 = rect.side_lengths
-    f = basis.freqs[idx]
-    phase = ((pts[:, :1] - rect.xmin) / l1 * f[:, 0]
-             + (pts[:, 1:] - rect.ymin) / l2 * f[:, 1])
+    freqs = basis.freqs[idx]
+    turns = []
+    for axis, (x0, side) in enumerate(zip((rect.xmin, rect.ymin),
+                                          rect.side_lengths)):
+        ks, inv = np.unique(freqs[:, axis], return_inverse=True)
+        table = np.empty((len(pts), ks.size))
+        for a, x in enumerate(pts[:, axis]):
+            t = (Fraction(x) - Fraction(x0)) / Fraction(side)
+            for b, k in enumerate(ks):
+                q = int(k) * t
+                table[a, b] = float(q - round(q))
+        turns.append(table[:, inv])
+    phase = turns[0] + turns[1]
+    phase -= np.rint(phase)
     return np.exp(2j * math.pi * phase) / math.sqrt(rect.area)
 
 
 def _ginibre_direct(basis, pts, idx):
-    """norm_i * exp(-coef |u|^2 / 2) * u^i, one entry at a time."""
+    """norm_i * exp(-coef |u|^2 / 2) * u^i, one entry at a time in 40-digit
+    decimal arithmetic from the same doubles, rounded once. A double u ** i
+    is off by up to i ulps (CPython takes i > 100 through atan2, 3.6e-13 at
+    the strip spectrum's rim), and a subnormal power loses its digits."""
     out = np.empty((len(pts), len(idx)), dtype=complex)
-    for a, (x, y) in enumerate(pts):
-        u = complex(x - basis.disc.cx, y - basis.disc.cy)
-        for b, i in enumerate(idx):
-            out[a, b] = (math.exp(basis.log_norms[i] - basis.coef * abs(u) ** 2 / 2)
-                         * u ** int(i))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        norms = [Decimal(basis.log_norms[i]).exp() for i in idx]
+        for a, (x, y) in enumerate(pts):
+            ux, uy = Decimal(x - basis.disc.cx), Decimal(y - basis.disc.cy)
+            decay = (-Decimal(basis.coef) * (ux * ux + uy * uy) / 2).exp()
+            powers, re, im = [], Decimal(1), Decimal(0)
+            for _ in range(int(max(idx)) + 1):
+                powers.append((re, im))
+                re, im = re * ux - im * uy, re * uy + im * ux
+            for b, i in enumerate(idx):
+                re, im = powers[i]
+                f = norms[b] * decay
+                out[a, b] = complex(float(f * re), float(f * im))
     return out
 
 
-def _rel_err(got, want):
-    """Largest entrywise relative error; zeros must match exactly."""
-    nz = want != 0
-    assert np.array_equal(got[~nz], want[~nz])
-    return float(np.max(np.abs(got - want)[nz] / np.abs(want)[nz]))
+def _rel_err(got, want, floor=None):
+    """Largest entrywise relative error. Zeros must match exactly, or with
+    ``floor``, only entries whose reference is at least ``floor`` in
+    modulus are compared."""
+    if floor is None:
+        keep = want != 0
+        assert np.array_equal(got[~keep], want[~keep])
+    else:
+        keep = np.abs(want) >= floor
+    return float(np.max(np.abs(got - want)[keep] / np.abs(want)[keep]))
+
+
+def _strip_spectrum():
+    """``dpp-large-k``'s Ginibre spectrum: the whiteoak most-repulsive fit
+    on the disc around the 4 x 0.25 strip, extended by four offspring
+    standard deviations."""
+    gin = GinibreDpp(35.32, max_admissible_beta(35.32))
+    strip = Rect(0.0, 4.0, 0.0, 0.25).grow(0.2)
+    return ginibre_spectrum(GinibreParams.from_family(gin), strip.circumradius)
+
+
+def _disc_points(r, seed):
+    """60 points uniform on b(0, r), the centre, where only i = 0 is non-zero,
+    and two on the rim."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 60)
+    rad = r * np.sqrt(rng.random(60))
+    pts = np.column_stack((rad * np.cos(theta), rad * np.sin(theta)))
+    return np.vstack((pts, [[0.0, 0.0], [r * math.cos(2.0), r * math.sin(2.0)],
+                            [-r, 0.0]]))
 
 
 class TestBasisRows:
@@ -556,10 +610,12 @@ class TestBasisRows:
     @pytest.mark.parametrize("rect,rho,beta", [
         (Rect(0.0, 1.0, 0.0, 1.0), 105.36, 0.05),
         (Rect(-3.0, 9.0, 2.0, 10.0), 0.05, 1.2),
+        pytest.param(Rect(-0.12, 2.12, -0.12, 2.12), 105.36,
+                     max_admissible_beta(105.36), id="dpp-large-k"),
     ])
     def test_fourier_rows(self, rect, rho, beta):
-        # any double evaluation of exp(i phase) is off by about 1e-16 |phase|;
-        # both spectra keep |phase| below 2 pi * 70
+        # the builder's exp(2 pi i t) is within about an ulp, and a power f
+        # adds about 16 + f/16 roundings; the spectra reach f = 70
         spec = gaussian_dpp_spectrum(GaussianDpp(rho, beta), rect)
         pts = rect.sample_uniform(60, np.random.default_rng(1))
         pts = np.vstack((pts, [[rect.xmin, rect.ymin], [rect.xmax, rect.ymax]]))
@@ -571,19 +627,57 @@ class TestBasisRows:
                                           (0.6, 20.0, 1.0)])
     def test_ginibre_rows(self, nu, lam, r):
         spec = ginibre_spectrum(GinibreParams(nu, lam), r)
-        rng = np.random.default_rng(4)
-        theta = rng.uniform(0.0, 2.0 * math.pi, 60)
-        rad = r * np.sqrt(rng.random(60))
-        pts = np.column_stack((rad * np.cos(theta), rad * np.sin(theta)))
-        # the disc centre, where only i = 0 is non-zero, and the rim
-        pts = np.vstack((pts, [[0.0, 0.0], [r * math.cos(2.0), r * math.sin(2.0)],
-                               [-r, 0.0]]))
+        pts = _disc_points(r, 4)
         for idx in self._selections(spec.eigenvalues.size, 5):
             got = spec.basis.rows(idx)(pts)
             assert _rel_err(got, _ginibre_direct(spec.basis, pts, idx)) <= 1e-13
         centre = spec.basis.rows(np.arange(3))(np.zeros((1, 2)))[0]
         assert centre[0] == math.exp(spec.basis.log_norms[0])
         assert np.all(centre[1:] == 0)
+
+    def test_ginibre_rows_large_k(self):
+        # dpp-large-k's strip spectrum, 721 terms, where entries reach
+        # index 720 on the rim and fall below the smallest normal double
+        # near the centre; those are left out, as their digits are lost
+        spec = _strip_spectrum()
+        assert spec.eigenvalues.size == 721
+        pts = _disc_points(spec.domain.radius, 4)
+        for idx in self._selections(spec.eigenvalues.size, 5):
+            got = spec.basis.rows(idx)(pts)
+            want = _ginibre_direct(spec.basis, pts, idx)
+            tiny = np.finfo(float).tiny
+            assert np.count_nonzero(np.abs(want) >= tiny) > 0.5 * want.size
+            assert _rel_err(got, want, floor=tiny) <= 1e-13
+
+    def test_ginibre_rows_high_index(self):
+        # a sparse selection of a 4475-term spectrum (nu = 0.01), past index
+        # 4096, where a power goes through three base-16 digits; a double
+        # evaluation of u^i carries about i roundings, so the bound grows
+        # by 1e-16 per index
+        spec = ginibre_spectrum(GinibreParams(0.01, 20.0), 0.8)
+        m = spec.eigenvalues.size
+        rng = np.random.default_rng(3)
+        idx = np.unique(np.concatenate(([0, 1, 15, 16, 255, 256, 4095, 4096,
+                                         m - 1], rng.integers(0, m, 40))))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 30)
+        rad = 0.8 * np.sqrt(rng.uniform(0.8, 1.0, 30))  # where i > 4096 lives
+        pts = np.column_stack((rad * np.cos(theta), rad * np.sin(theta)))
+        got = spec.basis.rows(idx)(pts)
+        want = _ginibre_direct(spec.basis, pts, idx)
+        keep = np.abs(want) >= np.finfo(float).tiny
+        assert np.count_nonzero(keep[:, idx > 4096]) > 30
+        err = np.abs(got - want) / np.where(keep, np.abs(want), 1.0)
+        assert np.all(err[keep] <= np.broadcast_to(1e-13 + 1e-16 * idx,
+                                                   err.shape)[keep])
+
+    def test_ginibre_rows_at_the_centre_raise_nothing(self):
+        # no log(0), no 0 * inf and no underflow at or off the centre
+        spec = ginibre_spectrum(GinibreParams(0.7, 0.9), 1.4)
+        idx = np.arange(spec.eigenvalues.size)
+        with np.errstate(all="raise"):
+            got = spec.basis.rows(idx)(_disc_points(1.4, 4))
+        assert got[60, 0] == math.exp(spec.basis.log_norms[0])
+        assert np.all(got[60, 1:] == 0)
 
     def test_ginibre_index_250(self):
         spec = ginibre_spectrum(GinibreParams(1.0, 50.0), r=1.5)

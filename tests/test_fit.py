@@ -52,7 +52,7 @@ def exact_curve_of(m):
 def contrast(k_hat, m, o):
     """The objective min_contrast_fit minimises, at the model m."""
     grid = o.grid()
-    return _contrast(k_hat.values ** o.q, m, o, grid)
+    return _contrast(k_hat.values ** o.q, K_theoretical(m, grid), o, grid)
 
 
 def dummy_pattern(n=50, seed=3):
@@ -139,7 +139,8 @@ class TestContrastObjective:
                 emp_q = K_theoretical(m, grid) ** o.q
                 want = trapezoid(np.abs(emp_q - K_theoretical(off, grid)
                                         ** o.q) ** o.p, grid)
-                assert _contrast(emp_q, off, o, grid) == float(want)
+                assert _contrast(emp_q, K_theoretical(off, grid), o,
+                                 grid) == float(want)
 
 
 class TestSyntheticRecovery:
