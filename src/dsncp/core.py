@@ -315,11 +315,12 @@ class RngStream:
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= _M64):
-            raise ParameterError(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        if not (isinstance(self.stream_id, int) and 0 <= self.stream_id <= _M64):
-            raise ParameterError(
-                f"stream_id must be an integer in [0, 2^64), got {self.stream_id}")
+        for name in ("seed", "stream_id"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, int)
+                    or not 0 <= v <= _M64):
+                raise ParameterError(
+                    f"{name} must be an integer in [0, 2^64), got {v!r}")
 
     @property
     def generator(self) -> np.random.Generator:

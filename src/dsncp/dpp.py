@@ -21,7 +21,10 @@ Krishnapur, Peres & Virag 2006; Gautier, Bardenet & Valko 2019): a
 proposal x with uniform u is accepted when u ||v(x)||^2 is below its
 residual, which never exceeds ||v(x)||^2, so no bound is needed. The
 Fourier diagonal is the uniform law; the Ginibre one is a mixture of
-radial laws, one per selected eigenfunction.
+radial laws, one per selected eigenfunction. A step that tests more than
+64 + 60 k/(k - j) proposals, which a valid draw does with probability below
+e^-60, raises RuntimeError: only a basis whose rows are not orthonormal
+gets there, and it would otherwise propose forever.
 
 The rejection step keeps a pool of pending proposals. They are drawn, with
 their uniforms, in batches of min(k, 4096): at step j the diagonal accepts
@@ -124,23 +127,19 @@ class _DppKernel:
                 max_beta=bmax,
             )
 
+    @property
+    def range_sq(self) -> float:
+        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2 times
+        the family's ``range_share``."""
+        return self.beta ** 2 * self.range_share
+
 
 class GaussianDpp(_DppKernel):
     range_share = 0.5  # range_sq / beta^2
 
-    @property
-    def range_sq(self) -> float:
-        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2 / 2."""
-        return self.beta ** 2 * self.range_share
-
 
 class GinibreDpp(_DppKernel):
     range_share = 1.0  # range_sq / beta^2
-
-    @property
-    def range_sq(self) -> float:
-        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2."""
-        return self.beta ** 2 * self.range_share
 
 
 def max_admissible_beta(rho_Y: float) -> float:
@@ -599,6 +598,14 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
 _DEFLATE_SHARE = 0.5
 _DEFLATE_FLOOR = 96
 
+# Step j of a valid draw accepts a proposal with probability (k - j)/k, so
+# it tests more than 64 + 60 k/(k - j) proposals with probability below
+# e^-60. A basis whose rows are not orthonormal leaves a direction no
+# proposal can fill and would propose forever; past this bound the step
+# raises instead.
+_PROPOSAL_FLOOR = 64
+_PROPOSAL_FACTOR = 60
+
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared norms of the rows of a complex block."""
@@ -624,6 +631,8 @@ def _sample_projection(basis, idx: np.ndarray,
     # coordinates a = v @ P.T and squared norms asq = ||a||^2
     start, test = 0, np.empty(0)
     for j in range(k):
+        tested = 0
+        bound = _PROPOSAL_FLOOR + _PROPOSAL_FACTOR * k / (k - j)
         if jj >= _DEFLATE_SHARE * r and r - jj >= _DEFLATE_FLOOR:
             # C: orthonormal rows spanning the frame's complement, in which
             # the frame restarts; the pending residuals are ||C a||^2 already.
@@ -657,8 +666,15 @@ def _sample_projection(basis, idx: np.ndarray,
             hit = test[start:] < res[start:]
             h = start + int(hit.argmax())
             if not hit[h - start]:
+                tested += len(test) - start
+                if tested > bound:
+                    raise RuntimeError(
+                        f"DPP draw stuck at step {j} of k={k}: {tested} "
+                        f"proposals tested; the basis rows are not "
+                        f"orthonormal")
                 start = len(test)
                 continue
+            tested += h + 1 - start
             start = h + 1
             # the conjugate of a's component off the frame, from its kept
             # coefficients; a second pass only if the first lost over half

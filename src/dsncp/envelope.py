@@ -91,12 +91,12 @@ class CurveEnsemble:
         return self.sims.shape[0]
 
 
-def _erl_order_statistics(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _erl_order_statistics(curves: np.ndarray) -> np.ndarray:
     """Extreme-rank-length ordering of the rows of ``curves``.
 
-    Returns (order_stat, group): order_stat[j] is the competition rank of
-    curve j from the most extreme end (1 = most extreme, exact ties share),
-    group[j] an id increasing with decreasing extremeness (ties share).
+    Returns each curve's competition rank from the most extreme end (1 =
+    most extreme); exactly tied curves share a rank, so equal ranks are the
+    tie groups.
     """
     m, g = curves.shape
     order = np.argsort(curves, axis=0, kind="stable")
@@ -113,18 +113,15 @@ def _erl_order_statistics(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.minimum(s + 1, m - e + 1), axis=0)
     # lexicographic comparison of rank-count vectors == lexicographic
-    # comparison of each curve's ascending-sorted pointwise ranks
+    # comparison of each curve's ascending-sorted pointwise ranks; a run of
+    # equal sorted rows takes the competition rank of its first row
     sorted_ranks = np.sort(ranks, axis=1)
     order = np.lexsort(sorted_ranks.T[::-1])
     srt = sorted_ranks[order]
-    new_group = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
-    group_of_pos = np.cumsum(new_group) - 1
-    group_start = np.flatnonzero(new_group)
+    new_run = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
     stat = np.empty(m, dtype=np.int64)
-    grp = np.empty(m, dtype=np.int64)
-    stat[order] = group_start[group_of_pos] + 1
-    grp[order] = group_of_pos
-    return stat, grp
+    stat[order] = np.flatnonzero(new_run)[np.cumsum(new_run) - 1] + 1
+    return stat
 
 
 @dataclass(frozen=True)
@@ -177,24 +174,22 @@ def global_envelope(ensemble: CurveEnsemble, level: float = 0.95,
                     statistic: str | None = None) -> EnvelopeResult:
     """Rank the ensemble by extreme rank length and build the envelope.
 
-    The ceil(level*(s+1)) least extreme curves are retained (boundary ties
-    broken by curve index, observed first); the envelope is the pointwise
-    min/max of the retained simulated curves and the central curve their
-    pointwise mean. p = (1 + #{sims at least as extreme as observed})/(s+1).
+    The m = s + 1 curves, observed first, are dropped in a stable sort of
+    their ERL ranks until ceil(level*m) remain. The envelope is the
+    pointwise min/max of the retained simulated curves, the central curve
+    their mean, and p = (1 + #{sims with rank <= the observed's}) / m.
     """
     _check_level(ensemble.n_sim, level)
     m = ensemble.n_sim + 1
-    curves = np.vstack([ensemble.observed, ensemble.sims])
-    stat, grp = _erl_order_statistics(curves)
-    p_value = (1 + int(np.count_nonzero(grp[1:] <= grp[0]))) / m
+    stat = _erl_order_statistics(np.vstack([ensemble.observed, ensemble.sims]))
+    p_value = (1 + int(np.count_nonzero(stat[1:] <= stat[0]))) / m
 
     drop = m - math.ceil(level * m - 1e-9)
-    by_extremeness = np.lexsort((np.arange(m), stat))
-    dropped = by_extremeness[:drop]
-    keep_sims = np.setdiff1d(np.arange(1, m), dropped)
-    if keep_sims.size == 0:
+    keep = np.ones(m, dtype=bool)
+    keep[np.argsort(stat, kind="stable")[:drop]] = False
+    retained = ensemble.sims[keep[1:]]
+    if retained.shape[0] == 0:
         raise ParameterError("no simulated curve retained; level too low")
-    retained = ensemble.sims[keep_sims - 1]
     return EnvelopeResult(r=ensemble.r, observed=ensemble.observed,
                           lower=retained.min(axis=0),
                           upper=retained.max(axis=0),
@@ -315,6 +310,9 @@ class StudyConfig:
         if self.fitted_families is not None:
             object.__setattr__(self, "fitted_families",
                                tuple(Family(f) for f in self.fitted_families))
+        for name in ("families", "fitted_families"):
+            if getattr(self, name) == ():
+                raise ParameterError(f"{name} must be non-empty")
         for name in ("alpha_values", "gamma_values", "rho_values"):
             try:
                 vals = tuple(float(v) for v in getattr(self, name))
@@ -328,9 +326,10 @@ class StudyConfig:
             object.__setattr__(self, name, vals)
         for name in ("replicates", "n_sim", "jobs"):
             v = getattr(self, name)
-            if not isinstance(v, Integral) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
                 raise ParameterError(
                     f"{name} must be an integer >= 1, got {v!r}")
+        RngStream(self.seed)  # refuses a seed no stream takes
         _check_level(self.n_sim, self.level)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
@@ -453,7 +452,7 @@ def run_study(config: StudyConfig,
                                    "stage": "fit/test", "error": str(exc)})
                     continue
                 t = tallies[fam_fit]
-                t["reject"] += int(res.p_value < 1.0 - config.level)
+                t["reject"] += int(res.rejected)
                 t["ratio"] += fit.rho_Y / rho
                 t["ok"] += 1
         for fam_fit in fitted_families:

@@ -784,8 +784,21 @@ class TestStudy:
           "rho_values": [1e6]}, "cell gaussian-dpp-thomas alpha=0.05 "
          "gamma=1.0 rhoY=1000000.0: expected DPP rank rho_Y |D| on its "
          "domain D is 1.96e+06, above the limit 8192"),
+        ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+        ({"seed": 1.5}, "seed must be an integer in [0, 2^64), got 1.5"),
+        ({"seed": "7"}, "seed must be an integer in [0, 2^64), got '7'"),
+        ({"seed": True}, "seed must be an integer in [0, 2^64), got True"),
+        ({"seed": 2 ** 64}, "seed must be an integer in [0, 2^64), got "
+         "18446744073709551616"),
+        ({"replicates": True}, "replicates must be an integer >= 1, got True"),
+        ({"jobs": True}, "jobs must be an integer >= 1, got True"),
+        ({"families": []}, "families must be non-empty"),
+        ({"fitted_families": []}, "fitted_families must be non-empty"),
     ], ids=["level", "n_sim", "alpha-inf", "gamma-str", "family",
-            "fitted-family", "too-large", "too-high-rank"])
+            "fitted-family", "too-large", "too-high-rank", "seed-negative",
+            "seed-float", "seed-str", "seed-bool", "seed-2^64",
+            "replicates-bool", "jobs-bool", "no-families",
+            "no-fitted-families"])
     def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
                                             capsys, monkeypatch, no_draws):
         def no_cells(*args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -427,6 +428,14 @@ def _check_fourier_projection_law(seed):
     assert t2 <= 27.86, (t2, z)
 
 
+def _child_env() -> dict:
+    """The environment of a child python that imports this dsncp."""
+    src = str(Path(dpp.__file__).parent.parent)
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestProjectionSampler:
     """The sequential step, seen apart from the Bernoulli selection: a
     projection DPP of rank k has exactly k points."""
@@ -509,13 +518,31 @@ class TestProjectionSampler:
             "    RngStream(5, 0)).points for c in (1.0, s))\n"
             "assert unit.shape[0] > 60, unit.shape\n"
             "assert np.array_equal(big, s * unit)\n")
-        src = str(Path(dpp.__file__).parent.parent)
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_rank_deficient_basis_raises(self):
+        # a Fourier basis of k = 20 whose second column copies its first
+        # spans 19 dimensions, so the last step can never accept; the draw
+        # runs in a child whose timeout catches a sampler that hangs
+        script = (
+            "import numpy as np\n"
+            "from dsncp.core import Rect, RngStream\n"
+            "from dsncp.dpp import DppSpectrum, _FourierBasis, sample_dpp\n"
+            "rect = Rect(0.0, 1.0, 0.0, 1.0)\n"
+            "freqs = [(a, b) for a in range(-2, 3) for b in range(-2, 2)]\n"
+            "freqs[1] = freqs[0]\n"
+            "spec = DppSpectrum(rect, np.ones(20),\n"
+            "                   _FourierBasis(rect, np.array(freqs)), 0.0)\n"
+            "sample_dpp(spec, RngStream(3, 0))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1
+        assert re.search(r"RuntimeError: DPP draw stuck at step 19 of "
+                         r"k=20: \d+ proposals tested", proc.stderr), \
+            proc.stderr
 
 
 def _fourier_direct(basis, pts, idx):

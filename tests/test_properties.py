@@ -210,8 +210,7 @@ class TestScaleEquivariance:
 
 def erl_statistic(ens):
     """The ERL order statistic global_envelope ranks by; observed first."""
-    stat, _ = _erl_order_statistics(np.vstack([ens.observed, ens.sims]))
-    return stat
+    return _erl_order_statistics(np.vstack([ens.observed, ens.sims]))
 
 
 class TestExtremeRankLengthExamples:
