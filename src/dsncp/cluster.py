@@ -180,15 +180,14 @@ MAX_EXPECTED_CENTRES = 1e7
 MAX_EXPECTED_POINTS = 1e7
 # The largest expected rank E k = rho_Y |D| of a DPP centre draw, D its
 # domain (``_dpp_domain``). The sampler holds a k x k complex frame and a
-# pool of n = min(k, 4096) proposals, each with its row and coefficients
-# (two n x k complex blocks), and builds a batch's rows with one more such
-# block: 16 (k^2 + 3 n k) bytes. Its first deflation drops the
-# coefficients and holds a complete QR of the frame's rows (2 k^2 more, in
-# its factor and numpy's copies) beside the frame and the pool's rows:
-# 16 (3 k^2 + n k) bytes. Later spaces are at most half as wide. The peak
-# is 4 times the frame up to k = 4096 and 3.5 GiB at this limit. A draw
-# costs about k^3 log k, and k^3 once it deflates; the tests and benchmark
-# draw k up to 551.
+# pool of n = min(k, 4096) proposals, each with its row and coefficients:
+# 16 (k^2 + 2 n k) bytes. It deflates only when the pool runs out, so it
+# drops the rows and coefficients first, and a complete QR of the frame's
+# j rows then holds the frame, its k x k factor and numpy's two k x j
+# copies: 16 (2 k^2 + 2 k j) bytes, j about (1 - exp(-n/k)) k at the first
+# deflation; later spaces are smaller. The arrays peak at about 3.4 times
+# the frame up to k = 4096 and 2.8 GiB at this limit. A draw costs about
+# k^3 log k, or k^3 once it deflates; the tests draw k up to 600.
 MAX_EXPECTED_RANK = 8192
 
 

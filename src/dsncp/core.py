@@ -264,9 +264,14 @@ class PointPattern:
     def from_csv(cls, path: str | Path, window: Window) -> "PointPattern":
         """Read a pattern written by ``to_csv``: a header line, then x,y rows.
 
-        Malformed rows raise ParameterError naming the 1-based line number.
+        Malformed rows raise ParameterError naming the 1-based line number,
+        as does a first line that reads as x,y: a point, not a header.
         """
         lines = Path(path).read_text().splitlines()
+        if lines and _is_number_pair(lines[0]):
+            raise ParameterError(
+                f"{path}: line 1: expected a header line such as x,y, got "
+                f"a pair of numbers: {lines[0]!r}")
         rows = []
         for num, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
@@ -285,6 +290,16 @@ class PointPattern:
         if not rows:
             return cls(np.zeros((0, 2)), window)
         return cls(np.array(rows, dtype=float), window)
+
+
+def _is_number_pair(line: str) -> bool:
+    """Whether ``line`` reads as two comma-separated numbers."""
+    parts = line.split(",")
+    try:
+        list(map(float, parts))
+    except ValueError:
+        return False
+    return len(parts) == 2
 
 
 _M64 = (1 << 64) - 1

@@ -52,24 +52,20 @@ than 1e-12 of its norm proposes again: a rounding artifact of probability
 about 0, judged relative to the proposal's own ||v||, so that a window of
 any size (where ||v||^2 = k/|D| for Fourier) draws alike.
 
-Late steps test many proposals (about k/(k - j) per point), and each one
-would still be projected on all j frame rows. So the frame deflates: once
-it spans ``_DEFLATE_SHARE`` (a half) of the current space of dimension r,
-and at least ``_DEFLATE_FLOOR`` (96) dimensions would remain, one complete
-QR of its rows gives C, orthonormal rows spanning their complement. The
-sampler then works in C's coordinates: P <- C P (P starts as the identity
-and is not formed before the first deflation), each pending proposal's
-coordinates a <- C a, and new batches enter as a = P v. The frame and the
-kept coefficients restart empty in the smaller space. Nothing the
-acceptance test sees changes: ||C a||^2 is the pending residual already,
-a residual is ||a||^2 less its squared coefficients on the new frame, and
-the proposal, its uniform and the bound u ||v||^2 are those of the
-undeflated sampler, so the law is the same chain rule and seeded draws
-agree with an undeflated run up to rounding in the residuals. The
-second-pass threshold compares against ||a||^2, the norm left in the
-current space. A late proposal then costs O((k - j) k) for its
-coordinates instead of O(j k), against one QR and one product into P per
-halving, so a draw costs O(k^3) in all.
+Late steps test many proposals (about k/(k - j) per point), each projected
+on all j frame rows, so the frame deflates, only between batches: when a
+batch runs out and the frame is not empty, in a space of ``_DEFLATE_RANK``
+(192) or more dimensions, one complete QR of the frame's rows gives C,
+orthonormal rows spanning their complement. The sampler then works in C's
+coordinates: P <- C P (P is not formed before the first deflation), the
+frame and the kept coefficients restart empty, and the next batch enters
+as a = P v, so ||a||^2 is v's residual against every row drawn so far; the
+second-pass threshold compares against it. This is a change of basis
+between batches, with nothing pending: the proposals, uniforms and bounds
+u ||v||^2 are the undeflated sampler's, so the law is the same chain rule,
+and seeded draws agree with an undeflated run up to rounding. A batch of n
+proposals accepts about 1 - exp(-n/k) of the points left, so each deflation
+shrinks the space by a fixed factor, and a draw costs O(k^3).
 
 A batch's rows v come from per-point tables of powers, with no
 transcendental function per entry: w^f = w^(f mod 16) w^(16 floor(f/16)),
@@ -576,12 +572,10 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     draw needs no bound and never restarts. Proposals come in batches of
     min(k, 4096) with their uniforms, their basis rows formed from tables
     of powers into one block reused by every batch, and untested ones stay
-    pending across steps with the coefficients they gained. Once the frame
-    of accepted rows spans half the current space and at least 96 dimensions
-    would remain, the sampler moves into the frame's complement by one QR,
-    so late proposals are projected on the few dimensions left, not on
-    every row drawn; the residuals, and so the law, are unchanged (see the
-    module docstring).
+    pending across steps with the coefficients they gained. Between
+    batches, while 192 or more dimensions are left, the sampler moves into
+    the complement of the accepted rows by one QR (see the module
+    docstring), so later proposals are not projected on every row drawn.
     """
     gen = rng.generator
     idx = np.flatnonzero(gen.random(spec.eigenvalues.size) < spec.eigenvalues)
@@ -590,13 +584,10 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     return PointPattern(_sample_projection(spec.basis, idx, gen), spec.domain)
 
 
-# Deflation (see the module docstring): once the frame spans this share of
-# the current space, and at least this many dimensions would remain, the
-# sampler moves into the frame's complement. Below the floor a QR of the
-# frame and the products into P cost about what they save, so a draw of
-# rank below 2 * 96 never deflates.
-_DEFLATE_SHARE = 0.5
-_DEFLATE_FLOOR = 96
+# A batch that runs out in a space of at least this many dimensions
+# deflates the frame (see the module docstring); in smaller spaces a QR and
+# the product into P cost about what they save.
+_DEFLATE_RANK = 192
 
 # Step j of a valid draw accepts a proposal with probability (k - j)/k, so
 # it tests more than 64 + 60 k/(k - j) proposals with probability below
@@ -623,7 +614,7 @@ def _sample_projection(basis, idx: np.ndarray,
     # coefficients <e_l, a> = (frame @ a)_l, l < jj
     frame = np.empty((k, k), dtype=complex)
     coef = np.empty((k, size), dtype=complex)
-    batch = np.empty((size, k), dtype=complex)  # every batch's rows, in turn
+    batch = None  # every batch's rows, in turn, in one block
     pts = np.empty((k, 2))
     proj = None  # P, orthonormal rows spanning the current space; None is I
     r, jj = k, 0  # the current space's dimension and the frame's rows in it
@@ -633,25 +624,22 @@ def _sample_projection(basis, idx: np.ndarray,
     for j in range(k):
         tested = 0
         bound = _PROPOSAL_FLOOR + _PROPOSAL_FACTOR * k / (k - j)
-        if jj >= _DEFLATE_SHARE * r and r - jj >= _DEFLATE_FLOOR:
-            # C: orthonormal rows spanning the frame's complement, in which
-            # the frame restarts; the pending residuals are ||C a||^2 already.
-            # The coefficients (and c, a view of them) go before the QR.
-            coef = c = None
-            comp = np.ascontiguousarray(
-                np.linalg.qr(frame[:jj].T, mode="complete")[0][:, jj:].T)
-            proj = comp if proj is None else comp @ proj
-            x, sq, test, res = x[start:], sq[start:], test[start:], res[start:]
-            a = a[start:] @ comp.T
-            asq = _sq_norms(a)
-            start, r, jj = 0, r - jj, 0
-            frame = np.empty((r, r), dtype=complex)
-            coef = np.empty((r, size), dtype=complex)
         while True:
             if start == len(test):
-                a = None  # a deflated batch's coordinates go before the next
+                a = c = None  # nothing is pending; c is a view of coef
+                if jj and r >= _DEFLATE_RANK:
+                    # C spans the frame's complement, where the frame
+                    # restarts. No rows or coefficients are held through
+                    # the QR, nor the old frame (e views it) after it.
+                    coef = batch = e = None
+                    comp = np.ascontiguousarray(np.linalg.qr(
+                        frame[:jj].T, mode="complete")[0][:, jj:].T)
+                    proj = comp if proj is None else comp @ proj
+                    r, jj = r - jj, 0
+                    frame = np.empty((r, r), dtype=complex)
+                    coef = np.empty((r, size), dtype=complex)
                 x = basis.propose(idx, size, gen)
-                a = rows(x, batch)
+                a = batch = rows(x, batch)
                 sq = _sq_norms(a)
                 test = gen.random(size) * sq
                 if proj is not None:

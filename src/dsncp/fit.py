@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -125,10 +126,19 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
+        """The fit ``to_dict`` wrote. A field of the wrong type raises
+        ParameterError; the values are checked when ``model()`` runs."""
+        for key in ("alpha", "beta", "rhoY", "gamma", "objective"):
+            v = d[key]
+            if not (key == "beta" and v is None) and (
+                    isinstance(v, bool) or not isinstance(v, Real)):
+                raise ParameterError(f"{key} must be a number, got {v!r}")
+        if not isinstance(opts := d["options"], dict):
+            raise ParameterError(f"options must be an object, got {opts!r}")
         return cls(family=Family(d["family"]), alpha=d["alpha"],
                    beta=d["beta"], rho_Y=d["rhoY"], gamma=d["gamma"],
                    objective=d["objective"], converged=d["converged"],
-                   options=ContrastOptions.from_dict(d["options"]))
+                   options=ContrastOptions.from_dict(opts))
 
 
 def estimate_gamma(p: PointPattern, rho_Y: float) -> float:

@@ -440,6 +440,20 @@ class TestFit:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_missing_header_exits_2(self, tmp_path, capsys):
+        # whiteoak without its x,y line: 448 points, none to be lost
+        from dsncp.data import load_whiteoak
+        bare = tmp_path / "bare.csv"
+        load_whiteoak().to_csv(bare)
+        bare.write_text(bare.read_text().split("\n", 1)[1])
+        out = tmp_path / "fit.json"
+        rc = run_cli(["fit", "--data", bare, "--window", "rect:0,1,0,1",
+                      "--family", "thomas", "-o", out])
+        assert rc == 2
+        assert f"{bare}: line 1: expected a header line" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_point_outside_window_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "outside.csv"
         bad.write_text("x,y\n0.5,0.5\n2.0,2.0\n")
@@ -560,6 +574,25 @@ class TestEnvelope:
                       "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
         assert rc == 2
         assert f"{bogus}: not a fit result: unknown family 'bogus'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", "0.03", "alpha must be a number, got '0.03'"),
+        ("gamma", None, "gamma must be a number, got None"),
+        ("options", "x", "options must be an object, got 'x'"),
+    ])
+    def test_fit_with_a_wrongly_typed_field_exits_2(
+            self, field, value, message, pattern_csv, fit_json, tmp_path,
+            capsys, no_draws):
+        bad = tmp_path / "bad.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        bad.write_text(json.dumps({**fit, field: value}))
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", bad,
+                      "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 2
+        assert f"{bad}: not a fit result: {message}" in \
             capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 

@@ -153,6 +153,22 @@ class TestPointPattern:
         q = PointPattern.from_csv(path, w)
         assert q.n == 0
 
+    @pytest.mark.parametrize("first", ["0.25,0.5", " 1e-3 , 0.5", "nan,0.5"])
+    def test_csv_without_header_is_refused(self, tmp_path, first):
+        # a first line that reads as a point would be skipped as the header
+        path = tmp_path / "bare.csv"
+        path.write_text(f"{first}\n0.75,0.125\n")
+        with pytest.raises(ParameterError,
+                           match=r"bare\.csv: line 1: expected a header"):
+            PointPattern.from_csv(path, Rect(0.0, 1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("header", ["x,y", "x", "x,y,mark", "#"])
+    def test_any_other_first_line_is_a_header(self, tmp_path, header):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"{header}\n0.75,0.125\n")
+        q = PointPattern.from_csv(path, Rect(0.0, 1.0, 0.0, 1.0))
+        assert q.points.tolist() == [[0.75, 0.125]]
+
 
 class TestRngStream:
     def test_same_ids_same_draws(self):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -371,9 +372,18 @@ def small_spectra(draw):
 
 
 def _forced_deflation():
-    """The sampler deflating as often as it can: once the frame spans a
-    quarter of the current space and two dimensions would remain."""
-    return mock.patch.multiple(dpp, _DEFLATE_SHARE=0.25, _DEFLATE_FLOOR=2)
+    """The sampler deflating as often as it can: whenever a batch runs out
+    and the frame is not empty."""
+    return mock.patch.object(dpp, "_DEFLATE_RANK", 1)
+
+
+def _all_ones(k):
+    """A rank-k projection spectrum: the k Fourier frequencies nearest 0 on
+    the unit square, each with eigenvalue 1."""
+    rect = Rect(0.0, 1.0, 0.0, 1.0)
+    grid = np.array([(a, b) for a in range(-15, 16) for b in range(-15, 16)])
+    freqs = grid[np.argsort((grid ** 2).sum(axis=1), kind="stable")][:k]
+    return DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
 
 
 def _deflation_count(spec, rng):
@@ -457,33 +467,29 @@ class TestProjectionSampler:
 
     @pytest.mark.slow
     def test_deflating_fourier_projection_law(self):
-        # k = 29 never deflates at the default floor; forced, every draw
-        # deflates eight times (29 -> 21 -> 15 -> 11 -> 8 -> 6 -> 4 -> 3 -> 2)
+        # k = 29 never deflates under the default rule; forced, its 2000
+        # draws deflate 1-5 times each, 3 on average
         with _forced_deflation():
             _check_fourier_projection_law(seed=7)
 
     def test_deflation_counts(self):
-        def all_ones(k):
-            rect = Rect(0.0, 1.0, 0.0, 1.0)
-            grid = np.array([(a, b) for a in range(-12, 13)
-                             for b in range(-12, 13)])
-            freqs = grid[np.argsort((grid ** 2).sum(axis=1), kind="stable")][:k]
-            return DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
-
-        assert _deflation_count(all_ones(29), RngStream(3, 0)) == 0
+        assert _deflation_count(_all_ones(29), RngStream(3, 0)) == 0
         with _forced_deflation():
-            assert _deflation_count(all_ones(29), RngStream(3, 0)) == 8
-        # a rank of 191 stays below the floor; 400 halves to 200 and 100,
-        # and 100 - 50 < 96
-        assert _deflation_count(all_ones(191), RngStream(3, 0)) == 0
-        assert _deflation_count(all_ones(400), RngStream(3, 0)) == 2
+            assert _deflation_count(_all_ones(29), RngStream(3, 0)) == 4
+        # a rank of 191 stays below the rule; 192 and 400 deflate at the
+        # first refill (to 77 and 149 dimensions), and 600 at the first two
+        # (600 -> 214 -> 73)
+        assert _deflation_count(_all_ones(191), RngStream(3, 0)) == 0
+        assert _deflation_count(_all_ones(192), RngStream(3, 0)) == 1
+        assert _deflation_count(_all_ones(400), RngStream(3, 0)) == 1
+        assert _deflation_count(_all_ones(600), RngStream(3, 0)) == 2
 
     @pytest.mark.parametrize("family", ["gaussian", "ginibre"])
     def test_deflation_keeps_the_draw(self, family):
-        # the pending residuals carry over and the proposals, uniforms and
-        # tests are the same, so a draw that deflates accepts the same
-        # proposals as one that never does (these ranks are below the
-        # default floor), up to rounding in the residuals
+        # the proposals, uniforms and tests are the same and a deflation
+        # leaves no proposal pending, so a draw that deflates accepts the
+        # same proposals as one that never does (these ranks are below the
+        # default rule), up to rounding in the residuals
         if family == "gaussian":
             spec = gaussian_dpp_spectrum(GaussianDpp(105.36, 0.05),
                                          Rect(0.0, 1.0, 0.0, 1.0))
@@ -491,13 +497,58 @@ class TestProjectionSampler:
             spec = ginibre_spectrum(GinibreParams(1.0, 35.32), r=0.8)
         for seed in range(4):
             never = sample_dpp(spec, RngStream(seed, 0)).points
-            with mock.patch.object(dpp, "_DEFLATE_FLOOR", 16):
-                halving = sample_dpp(spec, RngStream(seed, 0)).points
+            with mock.patch.object(dpp, "_DEFLATE_RANK", 16):
+                wide = sample_dpp(spec, RngStream(seed, 0)).points
             with _forced_deflation():
                 forced = sample_dpp(spec, RngStream(seed, 0)).points
             assert never.shape[0] > 40
-            assert np.array_equal(halving, never)
+            assert np.array_equal(wide, never)
             assert np.array_equal(forced, never)
+
+    @pytest.mark.parametrize("family", ["gaussian", "ginibre"])
+    def test_default_deflation_keeps_the_draw(self, family):
+        # ranks from 192 to 300 deflate under the default rule, and draw
+        # the points, and use the stream, of a sampler that never does
+        if family == "gaussian":
+            spec = gaussian_dpp_spectrum(
+                GaussianDpp(250.0, max_admissible_beta(250.0)),
+                Rect(0.0, 1.0, 0.0, 1.0))
+        else:
+            spec = ginibre_spectrum(GinibreParams(1.0, 35.32), r=1.5)
+
+        def draw(rng):
+            return sample_dpp(spec, rng).points, rng.generator.random()
+        for seed in range(4):
+            k = _selection(spec, RngStream(seed, 0)).size
+            assert 192 <= k <= 300
+            assert _deflation_count(spec, RngStream(seed, 0)) >= 1
+            default = draw(RngStream(seed, 0))
+            with mock.patch.object(dpp, "_DEFLATE_RANK", k + 1):
+                assert _deflation_count(spec, RngStream(seed, 0)) == 0
+                never = draw(RngStream(seed, 0))
+            assert np.array_equal(default[0], never[0])
+            assert default[1] == never[1]
+
+    @pytest.mark.parametrize("family", ["fourier", "ginibre"])
+    def test_memory_peak_at_k_600(self, family):
+        # the most memory one draw's arrays hold at once, in frames of
+        # 16 k^2 bytes (the k x k complex frame): the pool's rows and
+        # coefficients beside the frame, or at the first deflation the frame
+        # with its QR factors, about 3.4 (see cluster.MAX_EXPECTED_RANK)
+        k = 600
+        if family == "fourier":
+            basis = _all_ones(k).basis
+        else:
+            basis = ginibre_spectrum(GinibreParams(1.0, 35.32), r=2.5).basis
+        for seed in range(3):
+            tracemalloc.start()
+            try:
+                dpp._sample_projection(basis, np.arange(k),
+                                       np.random.default_rng(seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * 16 * k * k, peak / (16 * k * k)
 
     def test_large_window_draw_scales_exactly(self):
         # the unit square and the square scaled by 2^44, with rho_Y 2^-88
