@@ -224,9 +224,7 @@ def sample_model(m: ModelParams, w: Window, ext: Extension | None = None,
         raise ParameterError("an RngStream is required")
     centres = sample_centres(m, centre_window(m, w, ext), rng)
     gen = rng.generator
-    sizes = gen.poisson(m.gamma, centres.n) if centres.n else np.zeros(0, int)
-    total = int(sizes.sum())
-    offsets = gen.normal(0.0, m.alpha, (total, 2))
+    sizes = gen.poisson(m.gamma, centres.n)
+    offsets = gen.normal(0.0, m.alpha, (int(sizes.sum()), 2))
     pts = np.repeat(centres.points, sizes, axis=0) + offsets
-    keep = w.contains(pts) if total else np.zeros(0, dtype=bool)
-    return PointPattern(pts[keep], w)
+    return PointPattern(pts[w.contains(pts)], w)

@@ -267,39 +267,25 @@ class PointPattern:
         Malformed rows raise ParameterError naming the 1-based line number,
         as does a first line that reads as x,y: a point, not a header.
         """
-        lines = Path(path).read_text().splitlines()
-        if lines and _is_number_pair(lines[0]):
-            raise ParameterError(
-                f"{path}: line 1: expected a header line such as x,y, got "
-                f"a pair of numbers: {lines[0]!r}")
         rows = []
-        for num, ln in enumerate(lines[1:], start=2):
-            if not ln.strip():
-                continue
+        for num, ln in enumerate(Path(path).read_text().splitlines(), start=1):
             parts = ln.split(",")
-            if len(parts) != 2:
-                raise ParameterError(
-                    f"{path}: line {num}: expected two columns x,y, "
-                    f"got {len(parts)}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
+            try:  # the one rule for a point: two comma-separated numbers
+                row = tuple(map(float, parts)) if len(parts) == 2 else None
             except ValueError:
+                row = None
+            if num == 1 and row is not None:
                 raise ParameterError(
-                    f"{path}: line {num}: not a pair of numbers: {ln!r}"
-                ) from None
-        if not rows:
-            return cls(np.zeros((0, 2)), window)
+                    f"{path}: line 1: expected a header line such as x,y, got "
+                    f"a pair of numbers: {ln!r}")
+            if num == 1 or (row is None and not ln.strip()):
+                continue
+            if row is None:
+                raise ParameterError(f"{path}: line {num}: " + (
+                    f"expected two columns x,y, got {len(parts)}"
+                    if len(parts) != 2 else f"not a pair of numbers: {ln!r}"))
+            rows.append(row)
         return cls(np.array(rows, dtype=float), window)
-
-
-def _is_number_pair(line: str) -> bool:
-    """Whether ``line`` reads as two comma-separated numbers."""
-    parts = line.split(",")
-    try:
-        list(map(float, parts))
-    except ValueError:
-        return False
-    return len(parts) == 2
 
 
 _M64 = (1 << 64) - 1

@@ -123,11 +123,15 @@ class _DppKernel:
                 max_beta=bmax,
             )
 
+    @classmethod
+    def range_sq_at(cls, beta: float) -> float:
+        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2) at scale beta."""
+        return beta ** 2 * cls.range_share
+
     @property
     def range_sq(self) -> float:
-        """s^2 in |C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2): beta^2 times
-        the family's ``range_share``."""
-        return self.beta ** 2 * self.range_share
+        """s^2 at this kernel's beta."""
+        return self.range_sq_at(self.beta)
 
 
 class GaussianDpp(_DppKernel):
@@ -177,7 +181,12 @@ class GinibreParams:
 
     @classmethod
     def from_family(cls, family: GinibreDpp) -> "GinibreParams":
+        """The (nu, lam) of ``family``, refusing a nu that underflows."""
         nu = min(family.rho_Y * math.pi * family.beta ** 2, 1.0)
+        if nu < np.finfo(float).tiny:
+            raise ParameterError(
+                f"Ginibre kernel at rho_Y {family.rho_Y:.6g}, beta "
+                f"{family.beta:.6g} underflows: nu = rho_Y pi beta^2 = {nu:.6g}")
         return cls(nu=nu, lam=family.rho_Y)
 
 
@@ -322,7 +331,7 @@ class _FourierBasis:
         exp(2 pi i f x') over the selection's frequency range on each axis,
         one gather from each and their product."""
         f = self.freqs[idx]
-        tops = np.abs(f).max(axis=0)
+        tops = np.abs(f).max(axis=0, initial=0)
         ix, iy = f[:, 0] + tops[0], f[:, 1] + tops[1]
 
         def build(points: np.ndarray, out: np.ndarray | None = None):
@@ -535,7 +544,11 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
     tol = 1e-12 * top
     expected = rho * rect.area
     if tol == 0.0:
-        # the leading eigenvalue underflows the cutoff: nothing to sample
+        # the cutoff underflows: an empty spectrum only if rho_Y |D| < 1e-12
+        if not expected < 1e-12:
+            raise ParameterError(
+                f"Gaussian spectrum at rho_Y {rho:.6g}, beta {beta:.6g} "
+                f"underflows, yet its expected count is {expected:.6g}")
         return DppSpectrum(rect, np.zeros(0),
                            _FourierBasis(rect, np.zeros((0, 2), dtype=int)),
                            truncation_error=expected)
@@ -579,8 +592,6 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     """
     gen = rng.generator
     idx = np.flatnonzero(gen.random(spec.eigenvalues.size) < spec.eigenvalues)
-    if not idx.size:
-        return PointPattern(np.zeros((0, 2)), spec.domain)
     return PointPattern(_sample_projection(spec.basis, idx, gen), spec.domain)
 
 
@@ -645,11 +656,9 @@ def _sample_projection(basis, idx: np.ndarray,
                 if proj is not None:
                     a = a @ proj.T
                 asq = sq if proj is None else _sq_norms(a)
-                res = asq.copy()
-                if jj:
-                    c = np.matmul(frame[:jj], a.T, out=coef[:jj])
-                    res -= np.einsum("ij,ij->j", c.real, c.real) \
-                        + np.einsum("ij,ij->j", c.imag, c.imag)
+                c = np.matmul(frame[:jj], a.T, out=coef[:jj])
+                res = asq - (np.einsum("ij,ij->j", c.real, c.real)
+                             + np.einsum("ij,ij->j", c.imag, c.imag))
                 start = 0
             hit = test[start:] < res[start:]
             h = start + int(hit.argmax())
@@ -667,12 +676,10 @@ def _sample_projection(basis, idx: np.ndarray,
             # the conjugate of a's component off the frame, from its kept
             # coefficients; a second pass only if the first lost over half
             # the squared norm
-            u = a[h].conj()
-            if jj:
-                e = frame[:jj]
-                u -= coef[:jj, h].conj() @ e
+            e = frame[:jj]
+            u = a[h].conj() - coef[:jj, h].conj() @ e
             usq = np.vdot(u, u).real
-            if jj and usq < 0.5 * asq[h]:
+            if usq < 0.5 * asq[h]:
                 u -= (e @ u.conj()).conj() @ e
                 usq = np.vdot(u, u).real
             if usq < 1e-24 * sq[h]:

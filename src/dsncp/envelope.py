@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -44,13 +45,9 @@ from .dpp import max_admissible_beta
 from .fit import FitResult, min_contrast_fit
 from .summaries import (
     STATISTICS,
-    F_hat,
-    G_hat,
-    K_hat,
+    _curve_values,
     default_grid,
     default_pcf_bandwidth,
-    j_values,
-    pcf_hat,
 )
 
 
@@ -196,22 +193,6 @@ def global_envelope(ensemble: CurveEnsemble, level: float = 0.95,
                           central=retained.mean(axis=0),
                           p_value=p_value, level=level,
                           n_sim=ensemble.n_sim, statistic=statistic)
-
-
-def _curve_values(p: PointPattern, statistic: str, grid: np.ndarray,
-                  bandwidth: float | None = None) -> np.ndarray:
-    if statistic == "K":
-        return K_hat(p, grid).values
-    if statistic == "pcf":
-        return pcf_hat(p, grid, bandwidth=bandwidth).values
-    if statistic == "F":
-        return F_hat(p, grid).values
-    if statistic == "G":
-        return G_hat(p, grid).values
-    if statistic == "J":
-        return j_values(F_hat(p, grid).values, G_hat(p, grid).values)
-    raise ParameterError(f"unknown statistic {statistic!r}; "
-                         f"choose one of {STATISTICS}")
 
 
 def _sim_curve_task(args) -> np.ndarray:
@@ -414,8 +395,8 @@ def run_study(config: StudyConfig,
 
     ``cell_indices`` restricts execution to those positions of the full
     (families x alphas x gammas x rhos) cell enumeration without changing
-    any cell's random streams, so an interrupted study resumed cell by
-    cell reproduces the uninterrupted run bit for bit.
+    any cell's random streams, so a study that ``resume_study`` resumes
+    cell by cell reproduces the uninterrupted run bit for bit.
     """
     base = RngStream(seed=config.seed)
     rows: list[StudyRow] = []
@@ -511,14 +492,16 @@ def _read_study_rows(path: Path, keys: set[tuple]) -> dict[tuple, list[str]]:
 
 
 def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
-    """Run the study cells the CSV at ``path`` lacks, then rewrite it.
+    """Run the study cells the CSV at ``path`` lacks, in cell order.
 
     Complete cells are kept as written; the rest run with their own random
     streams, and their fresh errors replace their old ones in the
-    ``.errors.json`` sidecar. Rows are written in cell order, so a resumed
-    study reproduces the uninterrupted one byte for byte. An unreadable row
-    or sidecar, or a row that is not a cell of ``config`` or repeats one,
-    raises InputFileError naming the file and line before any cell runs.
+    ``.errors.json`` sidecar. After each cell the sidecar, then the CSV
+    with rows in cell order, is replaced whole, so an interrupted study
+    keeps its finished cells and, resumed, reproduces the uninterrupted one
+    byte for byte. An unreadable row or sidecar, or a row that is not a
+    cell of ``config`` or repeats one, raises InputFileError naming the
+    file and line before any cell runs.
     """
     out = Path(path)
     sidecar = (out.with_suffix(".errors.json") if out.suffix != ".json"
@@ -545,15 +528,25 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
              if idx in todo}
     errors = [e for e in errors if (e.get("true_family"), e.get("alpha"),
                                     e.get("gamma"), e.get("rhoY")) not in rerun]
-    if todo:
-        res = run_study(config, cell_indices=todo)
+
+    def save() -> int:
+        """Replace the sidecar, then the CSV; return the CSV's rows."""
+        rows = [have[k] for keys in keys_of_cell.values() for k in keys
+                if k in have]
+        tmp = sidecar.with_name(sidecar.name + ".tmp")
+        write_json(tmp, errors)
+        os.replace(tmp, sidecar)
+        tmp = out.with_name(out.name + ".tmp")
+        tmp.write_text(csv_text(STUDY_CSV_HEADER, rows))
+        os.replace(tmp, out)
+        return len(rows)
+
+    written = save()
+    for idx in sorted(todo):
+        res = run_study(config, cell_indices={idx})
         errors += res.errors
         have.update((row.cells()[:5], row.cells()) for row in res.rows)
-
-    rows = [have[k] for keys in keys_of_cell.values() for k in keys
-            if k in have]
-    out.write_text(csv_text(STUDY_CSV_HEADER, rows))
-    write_json(sidecar, errors)
-    return StudyResume(rows=len(rows), errors=len(errors),
+        written = save()
+    return StudyResume(rows=written, errors=len(errors),
                        cells_kept=len(cells) - len(todo), cells_run=len(todo),
                        errors_path=sidecar)

@@ -23,7 +23,7 @@ from .core import (
     ParameterError,
     PointPattern,
 )
-from .summaries import K_hat, _K_closed_form
+from .summaries import DEFAULT_GRID_SIZE, K_hat, _K_closed_form, default_grid
 
 _PENALTY = 1e12
 
@@ -36,7 +36,7 @@ class ContrastOptions:
     r_max: float
     q: float = 0.25
     p: float = 2.0
-    grid_size: int = 513
+    grid_size: int = DEFAULT_GRID_SIZE
     alpha_bounds: tuple[float, float] | None = None
     beta_bounds: tuple[float, float] | None = None
     rho_bounds: tuple[float, float] | None = None
@@ -63,10 +63,10 @@ class ContrastOptions:
 
     @classmethod
     def for_window(cls, w, **overrides) -> "ContrastOptions":
-        """Defaults tied to the window: fit over [0, shorter side / 4]."""
-        overrides.setdefault("r_min", 0.0)
-        overrides.setdefault("r_max", w.short_side / 4.0)
-        return cls(**overrides)
+        """Defaults tied to the window: fit over ``default_grid(w)``."""
+        grid = default_grid(w)
+        return cls(**{"r_min": float(grid[0]), "r_max": float(grid[-1]),
+                      **overrides})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.grid_size)
@@ -183,27 +183,28 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     emp_q = K_hat(p, grid).values ** opts.q
 
     a_bounds = opts.resolved_alpha_bounds()
-    if family is Family.THOMAS:
+    # the one rule from the second parameter to (beta, rho_Y, s^2)
+    kernel = family.kernel
+    if kernel is None:  # it is rho_Y
         s_bounds = opts.resolved_rho_bounds(p)
-    else:
+
+        def params(second):
+            return None, second, None
+    else:  # it is beta, of the most repulsive model
         s_bounds = opts.resolved_beta_bounds()
+
+        def params(second):
+            return (second, most_repulsive_intensity(second),
+                    kernel.range_sq_at(second))
     log_lo = np.log([a_bounds[0], s_bounds[0]])
     log_hi = np.log([a_bounds[1], s_bounds[1]])
-
-    kernel = family.kernel
 
     def objective(theta):
         excess = np.maximum(0.0, log_lo - theta) + np.maximum(0.0, theta - log_hi)
         if excess.any():
             return _PENALTY * (1.0 + float(excess.sum()))
         alpha, second = np.exp(theta)
-        if kernel is None:
-            theo = _K_closed_form(grid, alpha, second, None)
-        else:
-            # the most repulsive model at beta = second, as
-            # ModelParams.most_repulsive builds it
-            theo = _K_closed_form(grid, alpha, most_repulsive_intensity(second),
-                                  second ** 2 * kernel.range_share)
+        theo = _K_closed_form(grid, alpha, *params(second)[1:])
         return _contrast(emp_q, theo, opts, grid)
 
     runs = []
@@ -216,13 +217,7 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
             runs.append(res)
     best = min(runs, key=lambda r: (r.fun, float(np.exp(r.x[0]))))
     alpha, second = (float(v) for v in np.exp(best.x))
-    if family is Family.THOMAS:
-        beta, rho_Y = None, second
-    else:
-        # most_repulsive_intensity, not a bare 1/(pi beta^2): the latter can
-        # round one ulp above the existence bound and the result would then
-        # fail validation when turned back into a model
-        beta, rho_Y = second, most_repulsive_intensity(second)
+    beta, rho_Y, _ = params(second)
     return FitResult(family=family, alpha=alpha, beta=beta, rho_Y=rho_Y,
                      gamma=estimate_gamma(p, rho_Y), objective=float(best.fun),
                      converged=bool(best.success), options=opts)

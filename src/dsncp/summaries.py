@@ -33,6 +33,28 @@ from .core import (
 )
 
 STATISTICS = ("F", "G", "J", "K", "pcf")
+DEFAULT_GRID_SIZE = 513  # points of ``default_grid``
+
+
+def _curve_values(p: PointPattern, statistic: str, grid: np.ndarray,
+                  bandwidth: float | None = None) -> np.ndarray:
+    """The estimate of ``statistic`` at every point of ``grid``: J =
+    (1-G)/(1-F) is NaN where F or G is undefined or F = 1."""
+    if statistic == "K":
+        return K_hat(p, grid).values
+    if statistic == "pcf":
+        return pcf_hat(p, grid, bandwidth=bandwidth).values
+    if statistic == "F":
+        return F_hat(p, grid).values
+    if statistic == "G":
+        return G_hat(p, grid).values
+    if statistic == "J":
+        f, g = F_hat(p, grid).values, G_hat(p, grid).values
+        ok = np.isfinite(f) & np.isfinite(g) & (f < 1.0)
+        return np.divide(1.0 - g, 1.0 - f, out=np.full(f.shape, np.nan),
+                         where=ok)
+    raise ParameterError(f"unknown statistic {statistic!r}; "
+                         f"choose one of {STATISTICS}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +80,9 @@ class SummaryCurve:
 
 
 def default_grid(w: Window) -> np.ndarray:
-    """513 distances from 0 to a quarter of the shorter window side."""
-    return np.linspace(0.0, w.short_side / 4.0, 513)
+    """513 distances from 0 to a quarter of the shorter window side: the
+    grid of envelope tests and, by default, of the contrast fit."""
+    return np.linspace(0.0, w.short_side / 4.0, DEFAULT_GRID_SIZE)
 
 
 def pcf_theoretical(m: ModelParams, r):
@@ -504,17 +527,9 @@ def G_hat(p: PointPattern, grid) -> SummaryCurve:
     return SummaryCurve(grid, vals, "G")
 
 
-def j_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """J = (1-G)/(1-F) where F and G are finite and F < 1, NaN elsewhere."""
-    ok = np.isfinite(f) & np.isfinite(g) & (f < 1.0)
-    out = np.full(f.shape, np.nan)
-    out[ok] = (1.0 - g[ok]) / (1.0 - f[ok])
-    return out
-
-
 def J_hat(p: PointPattern, grid) -> SummaryCurve:
     """J = (1-G)/(1-F), kept only where F_hat is defined and < 1."""
     grid = _check_grid(grid)
-    vals = j_values(F_hat(p, grid).values, G_hat(p, grid).values)
+    vals = _curve_values(p, "J", grid)
     valid = np.isfinite(vals)
     return SummaryCurve(grid[valid], vals[valid], "J")

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -326,6 +327,24 @@ class TestSimulate:
         assert ("Ginibre spectrum needs 7.68932e+09 terms at beta 1e-05, "
                 "above the limit 2e+07 terms") in proc.stderr
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("model,message", [
+        ("gaussian-dpp-thomas", "Gaussian spectrum at rho_Y 100, beta 1e-160 "
+         "underflows, yet its expected count is 153.76"),
+        ("ginibre-dpp-thomas", "Ginibre kernel at rho_Y 100, beta 1e-160 "
+         "underflows: nu = rho_Y pi beta^2 = 3.14156e-318"),
+    ], ids=["gaussian", "ginibre"])
+    def test_underflowing_spectrum_exits_3(self, model, message, tmp_path,
+                                           capsys):
+        # a valid, nearly Poisson kernel whose eigenvalues underflow: refused
+        # with the flags' own rho_Y and beta, not drawn with no centres
+        out, dump = tmp_path / "p.csv", tmp_path / "s.csv"
+        rc = run_cli(["simulate", "--model", model, "--rhoY", 100, "--beta",
+                      1e-160, "--gamma", 5, "--alpha", 0.03, "--window",
+                      "rect:0,1,0,1", "--dump-spectrum", dump, "-o", out])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_high_rank_dpp_exits_3(self, tmp_path, capsys, no_draws):
         # 5.2e4 centres expected, far below the count limit, but the
@@ -701,6 +720,43 @@ class TestStudy:
         assert run_cli(["study", "--config", cfg, "-o", out]) == 0
         assert "0 run" in capsys.readouterr().out
         assert out.read_text() == full
+
+    def test_killed_study_resumes_to_the_uninterrupted_bytes(self, tmp_path):
+        # the rhoY = 0.5 cells are quick and their replicates fail (too few
+        # points to fit), so the sidecar holds errors of finished cells
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "rho_values": [0.5, 50.0],
+                                   "alpha_values": [0.05, 0.06],
+                                   "replicates": 3}))
+        full = tmp_path / "full.csv"
+        assert run_cli(["study", "--config", cfg, "-o", full, "--quiet"]) == 0
+        out = tmp_path / "study.csv"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dsncp.cli", "study", "--config", str(cfg),
+             "-o", str(out), "--quiet"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        try:
+            while child.poll() is None and not (
+                    out.exists() and len(out.read_text().splitlines()) > 1):
+                time.sleep(0.005)
+        finally:
+            child.terminate()
+            child.wait()
+        # killed with finished cells written and others still to run
+        kept = out.read_text().splitlines()
+        assert 1 < len(kept) < 5, kept
+        assert run_cli(["study", "--config", cfg, "-o", out, "--quiet"]) == 0
+        assert out.read_bytes() == full.read_bytes()
+        assert (tmp_path / "study.errors.json").read_bytes() == \
+            (tmp_path / "full.errors.json").read_bytes()
+        assert json.loads((tmp_path / "full.errors.json").read_text())
+        # killed between the two writes of the third cell: the sidecar holds
+        # its errors, the CSV not its row; the rerun replaces those errors
+        (tmp_path / "study.csv").write_text("\n".join(kept[:3]) + "\n")
+        assert run_cli(["study", "--config", cfg, "-o", out, "--quiet"]) == 0
+        assert out.read_bytes() == full.read_bytes()
+        assert (tmp_path / "study.errors.json").read_bytes() == \
+            (tmp_path / "full.errors.json").read_bytes()
 
     def test_resume_replaces_errors_of_rerun_cells(self, tmp_path, capsys,
                                                    monkeypatch):

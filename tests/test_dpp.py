@@ -87,6 +87,17 @@ class TestValidation:
         assert math.sqrt(p.nu / (p.lam * math.pi)) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("beta,nu", [(1e-160, "3.14156e-318"),
+                                         (1e-170, "0")])
+    def test_ginibre_params_refuse_an_underflowing_nu(self, beta, nu):
+        # nu = rho_Y pi beta^2 is subnormal or 0: the refusal names the
+        # kernel's rho_Y and beta, not a nu or a beta derived from it
+        with pytest.raises(ParameterError, match=re.escape(
+                f"Ginibre kernel at rho_Y 100, beta {beta:g} underflows: "
+                f"nu = rho_Y pi beta^2 = {nu}")):
+            GinibreParams.from_family(GinibreDpp(100.0, beta))
+
+
 def _correlation_sq(fam, y) -> float:
     """|C(0, y)|^2 / rho_Y^2 = exp(-|y|^2 / s^2), s^2 the family's range_sq."""
     return math.exp(-(y[0] ** 2 + y[1] ** 2) / fam.range_sq)
@@ -224,6 +235,15 @@ class TestGaussianSpectrum:
         spec = gaussian_dpp_spectrum(GaussianDpp(1 / math.pi, 1.0), rect)
         assert spec.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
         assert np.all(spec.eigenvalues <= 1.0)
+
+    def test_underflowing_cutoff_with_mass_is_refused(self):
+        # at beta 1e-160 the cutoff 1e-12 rho_Y pi beta^2 underflows to 0,
+        # yet 100 centres are expected: an empty spectrum would drop them
+        with pytest.raises(ParameterError, match=re.escape(
+                "Gaussian spectrum at rho_Y 100, beta 1e-160 underflows, yet "
+                "its expected count is 100")):
+            gaussian_dpp_spectrum(GaussianDpp(100.0, 1e-160),
+                                  Rect(0.0, 1.0, 0.0, 1.0))
 
     def test_eigenvalue_sum_matches_expected_count(self):
         rect = Rect(0.0, 20.0, 0.0, 20.0)

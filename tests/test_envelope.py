@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import dsncp.envelope
 import dsncp.fit
+import dsncp.summaries
 from dsncp.cluster import Family, ModelParams, sample_model
 from dsncp.core import (
     ParameterError,
@@ -306,7 +307,7 @@ class TestEnvelopeTest:
         def unreachable(*args, **kwargs):
             raise AssertionError("envelope_test computed before refusing")
         for name in ("F_hat", "G_hat"):
-            monkeypatch.setattr(dsncp.envelope, name, unreachable)
+            monkeypatch.setattr(dsncp.summaries, name, unreachable)
         for m, quantity in (
                 (ModelParams(family="thomas", gamma=6.0, alpha=0.05,
                              rho_Y=1e9), "centre count"),
