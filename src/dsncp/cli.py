@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -286,8 +287,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     raw = read_json(args.config)
+    if not isinstance(raw, dict):
+        raise InputFileError(f"{args.config}: expected a JSON object")
     try:
-        cfg = StudyConfig.from_dict(raw)
+        cfg = StudyConfig(**raw)
     except (TypeError, ParameterError) as exc:
         raise InputFileError(f"{args.config}: {exc}") from None
     if args.jobs is not None:
@@ -410,9 +413,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path whose directory is missing or not writable, so
+    that no work is done for a result that cannot be written."""
+    if not path:
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise InputFileError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise InputFileError(f"cannot write {path}: directory {parent} is "
+                             f"not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_writable(getattr(args, "output", None))
+        _check_writable(getattr(args, "dump_spectrum", None))
         return args.func(args)
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -420,6 +438,14 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # every read wraps its OSError in InputFileError, so one that names
+        # a file comes from a write
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .cluster import (
     sample_model,
 )
 from .core import (
+    Disc,
     InputFileError,
     ParameterError,
     PointPattern,
@@ -286,6 +287,8 @@ class StudyConfig:
     window: Rect = field(default_factory=lambda: Rect(0.0, 1.0, 0.0, 1.0))
 
     def __post_init__(self):
+        if not isinstance(self.window, (Rect, Disc)):
+            object.__setattr__(self, "window", Rect(*self.window))
         object.__setattr__(self, "families",
                            tuple(Family(f) for f in self.families))
         if self.fitted_families is not None:
@@ -332,13 +335,6 @@ class StudyConfig:
                 f for f in Family if f is not fam)
             yield idx, fam, alpha, gamma, rho, fitted
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudyConfig":
-        d = dict(d)
-        if "window" in d and not isinstance(d["window"], Rect):
-            d["window"] = Rect(*d["window"])
-        return cls(**d)
-
 
 STUDY_CSV_HEADER = ("true_family,fitted_family,alpha,gamma,rhoY,"
                     "reject_rate,mean_rhoY_ratio")
@@ -378,13 +374,60 @@ def _true_model(family: Family, gamma: float, alpha: float,
                                       beta=max_admissible_beta(rho))
 
 
-# what a replicate may fail with and still leave the study running; any
-# other exception is a bug and propagates
-_REPLICATE_FAILURES = (ParameterError,)
+def _run_cell(config: StudyConfig, cell: tuple) -> StudyResult:
+    """The rows and errors of one of ``config.cells()``, on the cell's own
+    random streams. The library raises ParameterError for a pattern or fit
+    the model cannot handle, so a replicate that fails with one is recorded
+    and skipped; any other exception is a bug and propagates.
+    """
+    cell_idx, fam_true, alpha, gamma, rho, fitted_families = cell
+    base = RngStream(seed=config.seed)
+    rows: list[StudyRow] = []
+    errors: list[dict] = []
+    m_true = _true_model(fam_true, gamma, alpha, rho)
+    tallies = {f: {"reject": 0, "ratio": 0.0, "ok": 0}
+               for f in fitted_families}
+    for rep in range(config.replicates):
+        rep_rng = base.substream(cell_idx * config.replicates + rep)
+        try:
+            pattern = sample_model(m_true, config.window,
+                                   rng=rep_rng.substream(0))
+        except ParameterError as exc:
+            errors.append({"true_family": fam_true.value, "alpha": alpha,
+                           "gamma": gamma, "rhoY": rho, "replicate": rep,
+                           "stage": "simulate", "error": str(exc)})
+            continue
+        for k, fam_fit in enumerate(fitted_families):
+            try:
+                fit = min_contrast_fit(pattern, fam_fit)
+                res = envelope_test(pattern, fit, statistic=config.statistic,
+                                    n_sim=config.n_sim,
+                                    rng=rep_rng.substream(1 + k),
+                                    level=config.level, jobs=config.jobs)
+            except ParameterError as exc:
+                errors.append({"true_family": fam_true.value,
+                               "fitted_family": fam_fit.value,
+                               "alpha": alpha, "gamma": gamma, "rhoY": rho,
+                               "replicate": rep, "stage": "fit/test",
+                               "error": str(exc)})
+                continue
+            t = tallies[fam_fit]
+            t["reject"] += int(res.rejected)
+            t["ratio"] += fit.rho_Y / rho
+            t["ok"] += 1
+    for fam_fit in fitted_families:
+        t = tallies[fam_fit]
+        ok = t["ok"]
+        rows.append(StudyRow(
+            true_family=fam_true, fitted_family=fam_fit, alpha=alpha,
+            gamma=gamma, rho_Y=rho,
+            reject_rate=t["reject"] / ok if ok else math.nan,
+            mean_rhoY_ratio=t["ratio"] / ok if ok else math.nan,
+            replicates_ok=ok))
+    return StudyResult(rows=rows, errors=errors)
 
 
-def run_study(config: StudyConfig,
-              cell_indices: set[int] | None = None) -> StudyResult:
+def run_study(config: StudyConfig) -> StudyResult:
     """Cross-family misspecification study.
 
     For every true family and parameter combination, each replicate
@@ -392,60 +435,10 @@ def run_study(config: StudyConfig,
     contrast, and envelope-tests each fit. A replicate that fails with a
     parameter error is recorded and skipped, never fatal. Emits rejection
     rates and mean fitted-to-true centre intensity ratios per cell.
-
-    ``cell_indices`` restricts execution to those positions of the full
-    (families x alphas x gammas x rhos) cell enumeration without changing
-    any cell's random streams, so a study that ``resume_study`` resumes
-    cell by cell reproduces the uninterrupted run bit for bit.
     """
-    base = RngStream(seed=config.seed)
-    rows: list[StudyRow] = []
-    errors: list[dict] = []
-    for cell_idx, fam_true, alpha, gamma, rho, fitted_families in config.cells():
-        if cell_indices is not None and cell_idx not in cell_indices:
-            continue
-        m_true = _true_model(fam_true, gamma, alpha, rho)
-        tallies = {f: {"reject": 0, "ratio": 0.0, "ok": 0}
-                   for f in fitted_families}
-        for rep in range(config.replicates):
-            rep_rng = base.substream(cell_idx * config.replicates + rep)
-            try:
-                pattern = sample_model(m_true, config.window,
-                                       rng=rep_rng.substream(0))
-            except _REPLICATE_FAILURES as exc:
-                errors.append({"true_family": fam_true.value, "alpha": alpha,
-                               "gamma": gamma, "rhoY": rho, "replicate": rep,
-                               "stage": "simulate", "error": str(exc)})
-                continue
-            for k, fam_fit in enumerate(fitted_families):
-                try:
-                    fit = min_contrast_fit(pattern, fam_fit)
-                    res = envelope_test(pattern, fit,
-                                        statistic=config.statistic,
-                                        n_sim=config.n_sim,
-                                        rng=rep_rng.substream(1 + k),
-                                        level=config.level, jobs=config.jobs)
-                except _REPLICATE_FAILURES as exc:
-                    errors.append({"true_family": fam_true.value,
-                                   "fitted_family": fam_fit.value,
-                                   "alpha": alpha, "gamma": gamma,
-                                   "rhoY": rho, "replicate": rep,
-                                   "stage": "fit/test", "error": str(exc)})
-                    continue
-                t = tallies[fam_fit]
-                t["reject"] += int(res.rejected)
-                t["ratio"] += fit.rho_Y / rho
-                t["ok"] += 1
-        for fam_fit in fitted_families:
-            t = tallies[fam_fit]
-            ok = t["ok"]
-            rows.append(StudyRow(
-                true_family=fam_true, fitted_family=fam_fit, alpha=alpha,
-                gamma=gamma, rho_Y=rho,
-                reject_rate=t["reject"] / ok if ok else math.nan,
-                mean_rhoY_ratio=t["ratio"] / ok if ok else math.nan,
-                replicates_ok=ok))
-    return StudyResult(rows=rows, errors=errors)
+    cells = [_run_cell(config, cell) for cell in config.cells()]
+    return StudyResult(rows=[row for c in cells for row in c.rows],
+                       errors=[e for c in cells for e in c.errors])
 
 
 class StudyResume(NamedTuple):
@@ -461,15 +454,20 @@ class StudyResume(NamedTuple):
 
 def _read_study_rows(path: Path, keys: set[tuple]) -> dict[tuple, list[str]]:
     """The rows of an existing study CSV, each row's cells keyed by its first
-    five columns; %.17g round-trips them exactly. A row whose key is not in
+    five columns; %.17g round-trips them exactly. An empty file has no rows.
+    A first line other than the study header, or a row whose key is not in
     ``keys``, the cells of the current config, or repeats an earlier row's
     raises InputFileError: the rewrite would drop it."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
+    if lines and lines[0] != STUDY_CSV_HEADER:
+        raise InputFileError(f"{path}: line 1: not the study CSV header "
+                             f"{STUDY_CSV_HEADER}")
     have: dict[tuple, list[str]] = {}
-    for num, ln in enumerate(text.splitlines()[1:], start=2):
+    for num, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")
@@ -511,8 +509,7 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
                     for idx, fam, a, g, r, fitted in cells}
     known = {k for keys in keys_of_cell.values() for k in keys}
     have = _read_study_rows(out, known) if out.exists() else {}
-    todo = {idx for idx, keys in keys_of_cell.items()
-            if not all(k in have for k in keys)}
+    todo = [c for c in cells if not all(k in have for k in keys_of_cell[c[0]])]
 
     errors = read_json(sidecar) if sidecar.exists() else []
     if not isinstance(errors, list):
@@ -524,8 +521,7 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
             raise InputFileError(f"{sidecar}: entry {num} is not a JSON "
                                  f"object of scalar values")
     # rerun cells regenerate their errors; drop the stale copies
-    rerun = {(fam.value, a, g, r) for idx, fam, a, g, r, _ in cells
-             if idx in todo}
+    rerun = {(fam.value, a, g, r) for _, fam, a, g, r, _ in todo}
     errors = [e for e in errors if (e.get("true_family"), e.get("alpha"),
                                     e.get("gamma"), e.get("rhoY")) not in rerun]
 
@@ -542,8 +538,8 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
         return len(rows)
 
     written = save()
-    for idx in sorted(todo):
-        res = run_study(config, cell_indices={idx})
+    for cell in todo:
+        res = _run_cell(config, cell)
         errors += res.errors
         have.update((row.cells()[:5], row.cells()) for row in res.rows)
         written = save()

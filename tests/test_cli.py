@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,7 +786,7 @@ class TestStudy:
     def test_malformed_existing_row_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "study.csv"
-        out.write_text("header\nthomas,thomas,not-a-number\n")
+        out.write_text(f"{STUDY_CSV_HEADER}\nthomas,thomas,not-a-number\n")
         rc = run_cli(["study", "--config", cfg, "-o", out])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
@@ -830,7 +831,7 @@ class TestStudy:
         def no_cells(*args, **kwargs):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(dsncp.envelope, "run_study", no_cells)
+        monkeypatch.setattr(dsncp.envelope, "_run_cell", no_cells)
         assert run_cli(["study", "--config", cfg, "-o", out]) == 2
         err = capsys.readouterr().err
         assert f"{out}: {message}" in err
@@ -843,6 +844,50 @@ class TestStudy:
         rc = run_cli(["study", "--config", cfg, "-o", out])
         assert rc == 2
         assert f"cannot read {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["foo,bar\n", "headerless"],
+                             ids=["foreign", "headerless"])
+    def test_first_line_not_the_header_exits_2(self, text, tmp_path, capsys,
+                                               monkeypatch):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        sidecar = tmp_path / "study.errors.json"
+        if text == "headerless":
+            # a study CSV that lost its header line: line 1 is a row, which
+            # a header-blind reader would drop and rerun
+            assert run_cli(["study", "--config", cfg, "-o", out,
+                            "--quiet"]) == 0
+            text = "".join(out.read_text().splitlines(True)[1:])
+        out.write_text(text)
+        sidecar.write_text("[]\n")
+        before = out.read_bytes(), sidecar.read_bytes()
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(dsncp.envelope, "_run_cell", no_cells)
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        assert f"{out}: line 1: not the study CSV header" in \
+            capsys.readouterr().err
+        assert (out.read_bytes(), sidecar.read_bytes()) == before
+
+    def test_empty_output_file_has_no_rows(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        out.write_text("")
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 0
+        assert "(0 cells already complete, 2 run)" in capsys.readouterr().out
+        assert out.read_text().splitlines()[0] == STUDY_CSV_HEADER
+
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        # the sidecar's temporary file cannot be written once the checks
+        # on the output path have passed
+        cfg = self.write_config(tmp_path)
+        tmp = tmp_path / "study.errors.json.tmp"
+        tmp.mkdir()
+        assert run_cli(["study", "--config", cfg, "-o",
+                        tmp_path / "study.csv"]) == 2
+        assert f"cannot write {tmp}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_nonpositive_jobs_exits_2(self, jobs, tmp_path, capsys):
@@ -883,18 +928,22 @@ class TestStudy:
         ({"jobs": True}, "jobs must be an integer >= 1, got True"),
         ({"families": []}, "families must be non-empty"),
         ({"fitted_families": []}, "fitted_families must be non-empty"),
+        # a config whose top level is not an object replaces the whole file
+        ("thomas", "expected a JSON object"),
+        (["abc"], "expected a JSON object"),
     ], ids=["level", "n_sim", "alpha-inf", "gamma-str", "family",
             "fitted-family", "too-large", "too-high-rank", "seed-negative",
             "seed-float", "seed-str", "seed-bool", "seed-2^64",
             "replicates-bool", "jobs-bool", "no-families",
-            "no-fitted-families"])
+            "no-fitted-families", "not-an-object-str", "not-an-object-list"])
     def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
                                             capsys, monkeypatch, no_draws):
         def no_cells(*args, **kwargs):
             raise AssertionError("a cell ran")
-        monkeypatch.setattr(dsncp.envelope, "run_study", no_cells)
+        monkeypatch.setattr(dsncp.envelope, "_run_cell", no_cells)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**self.CONFIG, **change}))
+        cfg.write_text(json.dumps({**self.CONFIG, **change}
+                                  if isinstance(change, dict) else change))
         out = tmp_path / "study.csv"
         assert run_cli(["study", "--config", cfg, "-o", out]) == 2
         assert f"{cfg}: {message}" in capsys.readouterr().err
@@ -908,6 +957,50 @@ class TestStudy:
         cfg.write_text("{not json")
         rc = run_cli(["study", "--config", cfg, "-o", tmp_path / "s.csv"])
         assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "dump-spectrum", "curves",
+                                     "fit", "envelope", "study"])
+def test_output_under_a_missing_directory_exits_2(command, pattern_csv,
+                                                  fit_json, tmp_path, capsys,
+                                                  no_draws):
+    # refused before any work: no draw, no fit, no cell
+    out = tmp_path / "missing" / "out.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TestStudy.CONFIG))
+    model = ["--model", "thomas", "--alpha", 0.05, "--gamma", 6, "--rhoY", 50]
+    data = ["--data", pattern_csv, "--window", "rect:0,1,0,1"]
+    argv = {
+        "simulate": ["simulate", *model, "--window", "rect:0,1,0,1",
+                     "-o", out],
+        "dump-spectrum": ["simulate", "--model", "ginibre-dpp-thomas",
+                          "--rhoX", 250, "--beta", 0.09, "--alpha", 0.04,
+                          "--window", "rect:0,1,0,1", "--dump-spectrum", out],
+        "curves": ["curves", *model, "--stat", "K", "-o", out],
+        "fit": ["fit", *data, "--all-families", "-o", out],
+        "envelope": ["envelope", *data, "--fit", fit_json, "--family",
+                     "thomas", "--n-sim", 99, "-o", out],
+        "study": ["study", "--config", cfg, "-o", out],
+    }[command]
+    assert run_cli(argv) == 2
+    assert f"cannot write {out}: no directory {out.parent}" in \
+        capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_output_in_a_read_only_directory_exits_2(tmp_path, capsys,
+                                                 monkeypatch, no_draws):
+    # os.access denies the directory: a superuser may write to any
+    # directory, so a chmod would not show the refusal
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode)
+                        and Path(path) != tmp_path)
+    out = tmp_path / "pattern.csv"
+    assert run_cli(["simulate", "--model", "thomas", "--alpha", 0.05,
+                    "--gamma", 6, "--rhoY", 50, "--window", "rect:0,1,0,1",
+                    "-o", out]) == 2
+    assert f"cannot write {out}: directory {tmp_path} is not writable" in \
+        capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -31,12 +31,14 @@ from dsncp.core import (
     write_json,
 )
 from dsncp.envelope import (
+    STUDY_CSV_HEADER,
     CurveEnsemble,
     EnvelopeResult,
     StudyConfig,
     _erl_order_statistics,
     envelope_test,
     global_envelope,
+    resume_study,
     run_study,
 )
 
@@ -420,7 +422,8 @@ class TestStudy:
             StudyConfig(**kwargs)
 
     def test_config_from_dict(self):
-        cfg = StudyConfig.from_dict({
+        # a config file's JSON object, window list and family names included
+        cfg = StudyConfig(**{
             "alpha_values": [0.05], "gamma_values": [10.0],
             "rho_values": [25.0], "families": ["thomas"],
             "replicates": 2, "n_sim": 99, "window": [0, 1, 0, 1],
@@ -506,6 +509,26 @@ class TestStudy:
         result = run_study(cfg)
         assert [r.replicates_ok for r in result.rows] == [2, 2]
         assert len(pair_searches) == 2
+
+    def test_resume_from_no_file_writes_what_run_study_returns(self,
+                                                               tmp_path):
+        # two cells; the rhoY = 0.5 cell's replicates fail, too few points
+        # to fit, so both rows and errors pass through both drivers
+        cfg = StudyConfig(alpha_values=(0.05,), gamma_values=(8.0,),
+                          rho_values=(0.5, 30.0), families=("thomas",),
+                          fitted_families=("thomas",),
+                          replicates=2, n_sim=19, level=0.9, seed=13)
+        result = run_study(cfg)
+        assert [r.replicates_ok for r in result.rows] == [0, 2]
+        assert len(result.errors) == 2
+        out = tmp_path / "study.csv"
+        resumed = resume_study(cfg, out)
+        assert (resumed.cells_kept, resumed.cells_run) == (0, 2)
+        assert out.read_text() == "\n".join(
+            [STUDY_CSV_HEADER, *(r.csv_line() for r in result.rows)]) + "\n"
+        write_json(tmp_path / "expected.json", result.errors)
+        assert (tmp_path / "study.errors.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
 
     def test_library_bug_is_not_a_replicate_failure(self, monkeypatch):
         # nothing on a replicate's path raises LinAlgError, so one that
