@@ -266,6 +266,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 4 if bad else 0
 
 
+def _sidecar(output: str) -> Path:
+    """The p-value JSON next to an envelope CSV, never clobbering it."""
+    out = Path(output)
+    return (out.with_suffix(".json") if out.suffix != ".json"
+            else out.with_suffix(".meta.json"))
+
+
 def cmd_envelope(args: argparse.Namespace) -> int:
     pattern = _load_pattern(args.data, args.window)
     fitted = _load_fit(args.fit, args.family)
@@ -273,12 +280,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
                         n_sim=args.n_sim,
                         rng=RngStream(args.seed, args.stream),
                         level=args.level, jobs=args.jobs)
-    out = Path(args.output)
-    res.to_csv(out)
-    # p-value sidecar next to the curve CSV, never clobbering it
-    sidecar = (out.with_suffix(".json") if out.suffix != ".json"
-               else out.with_suffix(".meta.json"))
-    write_json(sidecar, res.meta())
+    res.to_csv(args.output)
+    write_json(_sidecar(args.output), res.meta())
     if not args.quiet:
         verdict = "rejected" if res.rejected else "not rejected"
         print(f"p={res.p_value:.17g} level={res.level:g} -> {verdict}")
@@ -413,24 +416,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(path: str | None) -> None:
-    """Refuse an output path whose directory is missing or not writable, so
-    that no work is done for a result that cannot be written."""
-    if not path:
-        return
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise InputFileError(f"cannot write {path}: no directory {parent}")
-    if not os.access(parent, os.W_OK):
-        raise InputFileError(f"cannot write {path}: directory {parent} is "
-                             f"not writable")
+def _check_writable(args: argparse.Namespace) -> None:
+    """Refuse an output path that is a directory or whose directory is
+    missing or not writable, so that no work is done for a result that
+    cannot be written. A study reads its CSV first, and says so when that
+    is a directory."""
+    paths = [getattr(args, "output", None),
+             getattr(args, "dump_spectrum", None)]
+    if args.func is cmd_envelope:
+        paths.append(_sidecar(args.output))
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise InputFileError(f"cannot write {path}: no directory {parent}")
+        if not os.access(parent, os.W_OK):
+            raise InputFileError(f"cannot write {path}: directory {parent} is "
+                                 f"not writable")
+        if Path(path).is_dir() and args.func is not cmd_study:
+            raise InputFileError(f"cannot write {path}: is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_writable(getattr(args, "output", None))
-        _check_writable(getattr(args, "dump_spectrum", None))
+        _check_writable(args)
         return args.func(args)
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -266,8 +266,10 @@ class PointPattern:
 
         Malformed rows raise ParameterError naming the 1-based line number,
         as does a first line that reads as x,y: a point, not a header.
+        Points outside ``window`` raise it with their count and the line of
+        the first.
         """
-        rows = []
+        rows, lines = [], []
         for num, ln in enumerate(Path(path).read_text().splitlines(), start=1):
             parts = ln.split(",")
             try:  # the one rule for a point: two comma-separated numbers
@@ -285,7 +287,17 @@ class PointPattern:
                     f"expected two columns x,y, got {len(parts)}"
                     if len(parts) != 2 else f"not a pair of numbers: {ln!r}"))
             rows.append(row)
-        return cls(np.array(rows, dtype=float), window)
+            lines.append((num, ln))
+        pts = np.array(rows, dtype=float).reshape(-1, 2)
+        outside = np.flatnonzero(np.isfinite(pts).all(axis=1)
+                                 & ~window.contains(pts))
+        if outside.size:
+            num, ln = lines[outside[0]]
+            raise ParameterError(
+                f"{path}: {outside.size} point"
+                f"{' lies' if outside.size == 1 else 's lie'} outside the "
+                f"window; first at line {num}: {ln!r}")
+        return cls(pts, window)
 
 
 _M64 = (1 << 64) - 1

@@ -287,8 +287,18 @@ class StudyConfig:
     window: Rect = field(default_factory=lambda: Rect(0.0, 1.0, 0.0, 1.0))
 
     def __post_init__(self):
-        if not isinstance(self.window, (Rect, Disc)):
-            object.__setattr__(self, "window", Rect(*self.window))
+        w = self.window
+        if not isinstance(w, (Rect, Disc)):
+            if not (isinstance(w, (list, tuple)) and len(w) == 4 and all(
+                    isinstance(v, Real) and not isinstance(v, bool)
+                    for v in w)):
+                raise ParameterError("window must be four numbers xmin, xmax, "
+                                     f"ymin, ymax, got {w!r}")
+            object.__setattr__(self, "window", Rect(*w))
+        for name in ("families", "fitted_families", "alpha_values",
+                     "gamma_values", "rho_values"):
+            if isinstance(v := getattr(self, name), str):
+                raise ParameterError(f"{name} must be a list, got {v!r}")
         object.__setattr__(self, "families",
                            tuple(Family(f) for f in self.families))
         if self.fitted_families is not None:

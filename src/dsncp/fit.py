@@ -30,16 +30,14 @@ _PENALTY = 1e12
 
 @dataclass(frozen=True)
 class ContrastOptions:
-    """Controls for the contrast integral and the parameter search box."""
+    """Controls for the contrast integral and the optimizer: the six
+    values ``dsncp fit`` sets by flag."""
 
     r_min: float
     r_max: float
     q: float = 0.25
     p: float = 2.0
     grid_size: int = DEFAULT_GRID_SIZE
-    alpha_bounds: tuple[float, float] | None = None
-    beta_bounds: tuple[float, float] | None = None
-    rho_bounds: tuple[float, float] | None = None
     max_iter: int = 600
 
     def __post_init__(self):
@@ -52,12 +50,6 @@ class ContrastOptions:
             raise ParameterError(f"p must be finite and >= 1, got {self.p}")
         if self.grid_size < 64:
             raise ParameterError(f"grid_size must be >= 64, got {self.grid_size}")
-        for name in ("alpha_bounds", "beta_bounds", "rho_bounds"):
-            b = getattr(self, name)
-            if b is None:
-                continue
-            if len(b) != 2 or not 0 < b[0] < b[1] < math.inf:
-                raise ParameterError(f"{name} needs finite 0 < lo < hi, got {b}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -70,31 +62,6 @@ class ContrastOptions:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.grid_size)
-
-    def resolved_alpha_bounds(self) -> tuple[float, float]:
-        return self.alpha_bounds or (self.r_max / 1000.0, self.r_max)
-
-    def resolved_beta_bounds(self) -> tuple[float, float]:
-        return self.beta_bounds or (self.r_max / 1000.0, 4.0 * self.r_max)
-
-    def resolved_rho_bounds(self, p: PointPattern) -> tuple[float, float]:
-        area = p.window.area
-        return self.rho_bounds or (1.0 / area, 10.0 * p.n / area)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for k in ("alpha_bounds", "beta_bounds", "rho_bounds"):
-            if d[k] is not None:
-                d[k] = list(d[k])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ContrastOptions":
-        d = dict(d)
-        for k in ("alpha_bounds", "beta_bounds", "rho_bounds"):
-            if d.get(k) is not None:
-                d[k] = tuple(d[k])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -121,7 +88,7 @@ class FitResult:
             "gamma": self.gamma,
             "objective": self.objective,
             "converged": self.converged,
-            "options": self.options.to_dict(),
+            "options": dataclasses.asdict(self.options),
         }
 
     @classmethod
@@ -135,10 +102,16 @@ class FitResult:
                 raise ParameterError(f"{key} must be a number, got {v!r}")
         if not isinstance(opts := d["options"], dict):
             raise ParameterError(f"options must be an object, got {opts!r}")
+        # fit files written while the search box was an option hold it as null
+        opts = dict(opts)
+        for key in ("alpha_bounds", "beta_bounds", "rho_bounds"):
+            if (v := opts.pop(key, None)) is not None:
+                raise ParameterError(f"options.{key} is no longer an option, "
+                                     f"got {v!r}")
         return cls(family=Family(d["family"]), alpha=d["alpha"],
                    beta=d["beta"], rho_Y=d["rhoY"], gamma=d["gamma"],
                    objective=d["objective"], converged=d["converged"],
-                   options=ContrastOptions.from_dict(opts))
+                   options=ContrastOptions(**opts))
 
 
 def estimate_gamma(p: PointPattern, rho_Y: float) -> float:
@@ -167,9 +140,12 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
                      options: ContrastOptions | None = None) -> FitResult:
     """Fit one family by minimum contrast on the empirical K function.
 
-    Nelder-Mead in log parameter space from a 3 x 3 grid of starts; the
-    reported convergence flag reflects the winning run (relative simplex
-    diameter below 1e-6). Ties on the objective prefer smaller alpha.
+    Nelder-Mead in log parameter space from a 3 x 3 grid of starts, the
+    interior points of a log-spaced 5 x 5 grid over the search box: alpha in
+    [r_max/1000, r_max], and beta in [r_max/1000, 4 r_max] or, for Thomas,
+    rho_Y in [1/|W|, 10 n/|W|]. The reported convergence flag reflects the
+    winning run (relative simplex diameter below 1e-6). Ties on the
+    objective prefer smaller alpha.
     """
     # imported on first use: only fitting needs it, and loading it with the
     # package would add about 0.15 s to every dsncp process
@@ -182,16 +158,17 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     grid = opts.grid()
     emp_q = K_hat(p, grid).values ** opts.q
 
-    a_bounds = opts.resolved_alpha_bounds()
-    # the one rule from the second parameter to (beta, rho_Y, s^2)
+    a_bounds = (opts.r_max / 1000.0, opts.r_max)
+    # the one rule from the second parameter to its box and (beta, rho_Y, s^2)
     kernel = family.kernel
     if kernel is None:  # it is rho_Y
-        s_bounds = opts.resolved_rho_bounds(p)
+        area = p.window.area
+        s_bounds = (1.0 / area, 10.0 * p.n / area)
 
         def params(second):
             return None, second, None
     else:  # it is beta, of the most repulsive model
-        s_bounds = opts.resolved_beta_bounds()
+        s_bounds = (opts.r_max / 1000.0, 4.0 * opts.r_max)
 
         def params(second):
             return (second, most_repulsive_intensity(second),

@@ -481,6 +481,23 @@ class TestFit:
                       "--family", "thomas"])
         assert rc == 2
 
+    def test_points_outside_window_name_the_file(self, pattern_csv, capsys,
+                                                 no_draws):
+        # a unit-square pattern read in the disc inscribed in it
+        disc = Disc(0.5, 0.5, 0.5)
+        lines = pattern_csv.read_text().splitlines()
+        outside = [(num, ln) for num, ln in enumerate(lines[1:], start=2)
+                   if not disc.contains(np.array(
+                       [float(v) for v in ln.split(",")]))[0]]
+        assert len(outside) > 1
+        rc = run_cli(["fit", "--data", pattern_csv,
+                      "--window", "disc:0.5,0.5,0.5", "--family", "thomas"])
+        assert rc == 2
+        num, ln = outside[0]
+        assert (f"error: {pattern_csv}: {len(outside)} points lie outside "
+                f"the window; first at line {num}: {ln!r}\n") == \
+            capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = run_cli(["fit", "--data", tmp_path / "nope.csv",
                       "--window", "rect:0,1,0,1", "--family", "thomas"])
@@ -615,6 +632,43 @@ class TestEnvelope:
         assert f"{bad}: not a fit result: {message}" in \
             capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("key", ["alpha_bounds", "beta_bounds",
+                                     "rho_bounds"])
+    def test_fit_with_a_search_box_exits_2(self, key, pattern_csv, fit_json,
+                                           tmp_path, capsys, no_draws):
+        # the search box is no longer an option; only a library caller
+        # could have written one into a fit file
+        bad = tmp_path / "bad.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        bad.write_text(json.dumps(
+            {**fit, "options": {**fit["options"], key: [0.01, 1.0]}}))
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", bad,
+                      "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 2
+        assert (f"{bad}: not a fit result: options.{key} is no longer an "
+                f"option, got [0.01, 1.0]") in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_fit_with_null_search_box_runs_unchanged(self, pattern_csv,
+                                                     fit_json, tmp_path):
+        # a fit file written while the box was three options, all null
+        old = tmp_path / "old.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        old.write_text(json.dumps({**fit, "options": {
+            **fit["options"], "alpha_bounds": None, "beta_bounds": None,
+            "rho_bounds": None}}))
+        outputs = []
+        for name, path in (("new", fit_json), ("old", old)):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["envelope", "--data", pattern_csv, "--window",
+                            "rect:0,1,0,1", "--fit", path, "--family",
+                            "thomas", "--stat", "K", "--n-sim", 99,
+                            "--seed", 3, "--quiet", "-o", out]) == 0
+            outputs.append((out.read_bytes(),
+                            out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_oversized_fit_exits_3(self, pattern_csv, fit_json, tmp_path,
                                    capsys, no_draws):
@@ -928,6 +982,19 @@ class TestStudy:
         ({"jobs": True}, "jobs must be an integer >= 1, got True"),
         ({"families": []}, "families must be non-empty"),
         ({"fitted_families": []}, "fitted_families must be non-empty"),
+        # a string where a list belongs, and a window of the wrong shape
+        ({"families": "thomas"}, "families must be a list, got 'thomas'"),
+        ({"fitted_families": "thomas"},
+         "fitted_families must be a list, got 'thomas'"),
+        ({"alpha_values": "3"}, "alpha_values must be a list, got '3'"),
+        ({"gamma_values": "6"}, "gamma_values must be a list, got '6'"),
+        ({"rho_values": "50"}, "rho_values must be a list, got '50'"),
+        ({"window": "0101"}, "window must be four numbers xmin, xmax, ymin, "
+         "ymax, got '0101'"),
+        ({"window": [0, 1, 0, 1, 2]}, "window must be four numbers xmin, "
+         "xmax, ymin, ymax, got [0, 1, 0, 1, 2]"),
+        ({"window": ["0", 1, 0, 1]}, "window must be four numbers xmin, "
+         "xmax, ymin, ymax, got ['0', 1, 0, 1]"),
         # a config whose top level is not an object replaces the whole file
         ("thomas", "expected a JSON object"),
         (["abc"], "expected a JSON object"),
@@ -935,7 +1002,10 @@ class TestStudy:
             "fitted-family", "too-large", "too-high-rank", "seed-negative",
             "seed-float", "seed-str", "seed-bool", "seed-2^64",
             "replicates-bool", "jobs-bool", "no-families",
-            "no-fitted-families", "not-an-object-str", "not-an-object-list"])
+            "no-fitted-families", "families-str", "fitted-families-str",
+            "alpha-values-str", "gamma-values-str", "rho-values-str",
+            "window-str", "window-five", "window-str-entry",
+            "not-an-object-str", "not-an-object-list"])
     def test_config_that_cannot_run_exits_2(self, change, message, tmp_path,
                                             capsys, monkeypatch, no_draws):
         def no_cells(*args, **kwargs):
@@ -986,6 +1056,37 @@ def test_output_under_a_missing_directory_exits_2(command, pattern_csv,
     assert f"cannot write {out}: no directory {out.parent}" in \
         capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "dump-spectrum", "curves",
+                                     "fit", "envelope", "sidecar"])
+def test_output_that_is_a_directory_exits_2(command, pattern_csv, fit_json,
+                                            tmp_path, capsys, no_draws):
+    # refused before any work: no draw, no fit, and no CSV without its
+    # sidecar
+    out = tmp_path / "out.csv"
+    directory = tmp_path / "out.json" if command == "sidecar" else out
+    directory.mkdir()
+    model = ["--model", "thomas", "--alpha", 0.05, "--gamma", 6, "--rhoY", 50]
+    data = ["--data", pattern_csv, "--window", "rect:0,1,0,1"]
+    envelope = ["envelope", *data, "--fit", fit_json, "--family", "thomas",
+                "--n-sim", 99, "-o", out]
+    argv = {
+        "simulate": ["simulate", *model, "--window", "rect:0,1,0,1",
+                     "-o", out],
+        "dump-spectrum": ["simulate", "--model", "ginibre-dpp-thomas",
+                          "--rhoX", 250, "--beta", 0.09, "--alpha", 0.04,
+                          "--window", "rect:0,1,0,1", "--dump-spectrum", out],
+        "curves": ["curves", *model, "--stat", "K", "-o", out],
+        "fit": ["fit", *data, "--all-families", "-o", out],
+        "envelope": envelope,
+        "sidecar": envelope,
+    }[command]
+    assert run_cli(argv) == 2
+    assert f"cannot write {directory}: is a directory" in \
+        capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [directory]
+    assert not any(directory.iterdir())
 
 
 def test_output_in_a_read_only_directory_exits_2(tmp_path, capsys,

@@ -6,6 +6,7 @@ recovered), and against an exhaustive refining grid search of the same
 objective on a real simulated pattern.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -66,8 +67,10 @@ class TestContrastOptions:
         assert o.r_min == 0.0
         assert o.r_max == 3.0
         assert o.q == 0.25 and o.p == 2.0 and o.grid_size == 513
-        assert o.resolved_alpha_bounds() == (0.003, 3.0)
-        assert o.resolved_beta_bounds() == (0.003, 12.0)
+        assert o.max_iter == 600
+        # the search box follows r_max: TestSearchBox pins it on this window
+        assert [f.name for f in dataclasses.fields(o)] == [
+            "r_min", "r_max", "q", "p", "grid_size", "max_iter"]
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -78,21 +81,76 @@ class TestContrastOptions:
             ContrastOptions(r_min=0.0, r_max=1.0, p=0.5)
         with pytest.raises(ParameterError):
             ContrastOptions(r_min=0.0, r_max=1.0, grid_size=32)
-        with pytest.raises(ParameterError):
-            ContrastOptions(r_min=0.0, r_max=1.0, alpha_bounds=(0.5, 0.1))
 
     @pytest.mark.parametrize("field,value", [
         ("r_min", math.inf), ("r_max", math.inf), ("r_max", math.nan),
-        ("q", math.inf), ("p", math.inf), ("alpha_bounds", (0.1, math.inf)),
-        ("beta_bounds", (0.1, math.inf)), ("rho_bounds", (1.0, math.inf)),
-        ("rho_bounds", (math.nan, 1.0))])
+        ("q", math.inf), ("p", math.inf)])
     def test_non_finite_field_is_refused(self, field, value):
         with pytest.raises(ParameterError, match=field):
             ContrastOptions(**{"r_min": 0.0, "r_max": 1.0, field: value})
 
     def test_dict_round_trip(self):
-        o = ContrastOptions(r_min=0.1, r_max=2.0, alpha_bounds=(0.01, 1.0))
-        assert ContrastOptions.from_dict(o.to_dict()) == o
+        # the options travel inside a fit JSON, as its six values
+        o = ContrastOptions(r_min=0.1, r_max=2.0, q=0.5, p=3.0, grid_size=100,
+                            max_iter=50)
+        fit = FitResult(family=Family.GINIBRE, alpha=0.04, beta=0.09,
+                        rho_Y=most_repulsive_intensity(0.09), gamma=6.0,
+                        objective=1e-3, converged=True, options=o)
+        d = json.loads(json.dumps(fit.to_dict()))
+        assert d["options"] == {"r_min": 0.1, "r_max": 2.0, "q": 0.5, "p": 3.0,
+                                "grid_size": 100, "max_iter": 50}
+        assert FitResult.from_dict(d) == fit
+
+    def test_fit_file_with_null_bounds_loads(self):
+        # a fit file written while the search box was three options
+        fit = min_contrast_fit(dummy_pattern(), "thomas")
+        d = fit.to_dict()
+        d["options"] = {**d["options"], "alpha_bounds": None,
+                        "beta_bounds": None, "rho_bounds": None}
+        assert FitResult.from_dict(d) == fit
+
+    @pytest.mark.parametrize("key", ["alpha_bounds", "beta_bounds",
+                                     "rho_bounds"])
+    def test_fit_file_with_a_bound_is_refused(self, key):
+        d = min_contrast_fit(dummy_pattern(), "thomas").to_dict()
+        d["options"] = {**d["options"], key: [0.01, 1.0]}
+        with pytest.raises(ParameterError,
+                           match=rf"options\.{key} .*\[0\.01, 1\.0\]"):
+            FitResult.from_dict(d)
+
+
+class TestSearchBox:
+    """The box is alpha in [r_max/1000, r_max], and beta in
+    [r_max/1000, 4 r_max] for the DPP families or rho_Y in [1/|W|, 10 n/|W|]
+    for Thomas; the nine starts are the interior points of its log-spaced
+    5 x 5 grid."""
+
+    W = Rect(0.0, 20.0, 0.0, 12.0)  # r_max 3, |W| 240
+
+    @staticmethod
+    def interior(lo, hi):
+        return np.exp(np.linspace(math.log(lo), math.log(hi), 5)[1:4])
+
+    @pytest.mark.parametrize("family,second", [
+        ("thomas", (1.0 / 240.0, 10.0 * 60 / 240.0)),
+        ("ginibre-dpp-thomas", (0.003, 12.0))], ids=["thomas", "ginibre"])
+    def test_starts_span_the_box(self, family, second, monkeypatch):
+        import scipy.optimize
+        minimize = scipy.optimize.minimize
+        starts = []
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.exp(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        gen = RngStream(seed=6).generator
+        p = PointPattern(self.W.sample_uniform(60, gen), self.W)
+        assert ContrastOptions.for_window(self.W).r_max == 3.0
+        min_contrast_fit(p, family)
+        want = [(a, s) for a in self.interior(0.003, 3.0)
+                for s in self.interior(*second)]
+        np.testing.assert_allclose(starts, want, rtol=1e-13)
 
 
 class TestEstimateGamma:
@@ -195,8 +253,9 @@ class TestOptimizer:
                 if hasattr(np, "trapezoid") else \
                 float(np.trapz(np.abs(emp_q - theo ** o.q) ** o.p, grid))
 
-        lo = np.log([o.resolved_alpha_bounds()[0], o.resolved_rho_bounds(p)[0]])
-        hi = np.log([o.resolved_alpha_bounds()[1], o.resolved_rho_bounds(p)[1]])
+        # the search box's rule for Thomas on the unit square
+        lo = np.log([o.r_max / 1000.0, 1.0])
+        hi = np.log([o.r_max, 10.0 * p.n])
         for _ in range(5):
             a_grid = np.linspace(lo[0], hi[0], 33)
             r_grid = np.linspace(lo[1], hi[1], 33)
