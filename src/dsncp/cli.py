@@ -156,15 +156,6 @@ def _format_params(m: ModelParams) -> str:
     return " ".join(parts)
 
 
-def _load_pattern(path: str, window: Window) -> PointPattern:
-    try:
-        return PointPattern.from_csv(path, window)
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from None
-    except ParameterError as exc:
-        raise InputFileError(str(exc)) from None
-
-
 def _load_fit(path: str, family: str | None) -> FitResult:
     d = read_json(path)
     if isinstance(d, dict) and "fits" in d:
@@ -242,7 +233,7 @@ def _print_fit_table(fits: list[FitResult]) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    pattern = _load_pattern(args.data, args.window)
+    pattern = PointPattern.from_csv(args.data, args.window)
     overrides = {name: getattr(args, name)
                  for name in ("r_min", "r_max", "q", "p", "grid_size",
                               "max_iter")
@@ -274,7 +265,7 @@ def _sidecar(output: str) -> Path:
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    pattern = _load_pattern(args.data, args.window)
+    pattern = PointPattern.from_csv(args.data, args.window)
     fitted = _load_fit(args.fit, args.family)
     res = envelope_test(pattern, fitted, statistic=args.stat,
                         n_sim=args.n_sim,

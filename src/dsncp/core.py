@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import Union
 
@@ -42,6 +43,15 @@ def check_positive(name: str, value: float) -> None:
     > 0."""
     if not 0.0 < value < math.inf:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is an integer,
+    not a bool, and >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or (
+            value < minimum):
+        raise ParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_finite_fields(obj) -> None:
@@ -264,36 +274,43 @@ class PointPattern:
     def from_csv(cls, path: str | Path, window: Window) -> "PointPattern":
         """Read a pattern written by ``to_csv``: a header line, then x,y rows.
 
-        Malformed rows raise ParameterError naming the 1-based line number,
-        as does a first line that reads as x,y: a point, not a header.
-        Points outside ``window`` raise it with their count and the line of
-        the first.
+        Every fault of the file raises InputFileError naming it: a file that
+        cannot be read; a malformed or non-finite row, or a first line that
+        reads as x,y (a point, not a header), with its 1-based line number;
+        points outside ``window``, with their count and the line of the
+        first.
         """
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InputFileError(f"cannot read {path}: {exc}") from None
         rows, lines = [], []
-        for num, ln in enumerate(Path(path).read_text().splitlines(), start=1):
+        for num, ln in enumerate(text.splitlines(), start=1):
             parts = ln.split(",")
             try:  # the one rule for a point: two comma-separated numbers
                 row = tuple(map(float, parts)) if len(parts) == 2 else None
             except ValueError:
                 row = None
             if num == 1 and row is not None:
-                raise ParameterError(
+                raise InputFileError(
                     f"{path}: line 1: expected a header line such as x,y, got "
                     f"a pair of numbers: {ln!r}")
             if num == 1 or (row is None and not ln.strip()):
                 continue
             if row is None:
-                raise ParameterError(f"{path}: line {num}: " + (
+                raise InputFileError(f"{path}: line {num}: " + (
                     f"expected two columns x,y, got {len(parts)}"
                     if len(parts) != 2 else f"not a pair of numbers: {ln!r}"))
+            if not all(map(math.isfinite, row)):
+                raise InputFileError(f"{path}: line {num}: point coordinates "
+                                     f"must be finite, got {ln!r}")
             rows.append(row)
             lines.append((num, ln))
         pts = np.array(rows, dtype=float).reshape(-1, 2)
-        outside = np.flatnonzero(np.isfinite(pts).all(axis=1)
-                                 & ~window.contains(pts))
+        outside = np.flatnonzero(~window.contains(pts))
         if outside.size:
             num, ln = lines[outside[0]]
-            raise ParameterError(
+            raise InputFileError(
                 f"{path}: {outside.size} point"
                 f"{' lies' if outside.size == 1 else 's lie'} outside the "
                 f"window; first at line {num}: {ln!r}")

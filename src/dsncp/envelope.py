@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ from .core import (
     PointPattern,
     Rect,
     RngStream,
+    check_count,
     check_positive,
     csv_line,
     csv_text,
@@ -244,8 +245,8 @@ def envelope_test(p: PointPattern, fitted: FitResult | ModelParams,
     """
     if rng is None:
         raise ParameterError("an RngStream is required")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    check_count("n_sim", n_sim)
+    check_count("jobs", jobs)
     _check_level(n_sim, level)
     model = fitted.model() if isinstance(fitted, FitResult) else fitted
     centre_window(model, p.window)
@@ -319,10 +320,7 @@ class StudyConfig:
                 check_positive(name, v)
             object.__setattr__(self, name, vals)
         for name in ("replicates", "n_sim", "jobs"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-                raise ParameterError(
-                    f"{name} must be an integer >= 1, got {v!r}")
+            check_count(name, getattr(self, name))
         RngStream(self.seed)  # refuses a seed no stream takes
         _check_level(self.n_sim, self.level)
         if self.statistic not in STATISTICS:
@@ -484,8 +482,10 @@ def _read_study_rows(path: Path, keys: set[tuple]) -> dict[tuple, list[str]]:
         try:
             if len(parts) != 7:
                 raise ValueError
-            key = (parts[0], parts[1], float(parts[2]), float(parts[3]),
-                   float(parts[4]))
+            # the value columns are numbers too; nan marks a cell with no
+            # successful replicate
+            nums = [float(v) for v in parts[2:]]
+            key = (parts[0], parts[1], *nums[:3])
         except ValueError:
             raise InputFileError(f"{path}: line {num}: malformed study row"
                                  ) from None
@@ -499,6 +499,11 @@ def _read_study_rows(path: Path, keys: set[tuple]) -> dict[tuple, list[str]]:
     return have
 
 
+def _error_cell(entry: dict) -> tuple:
+    """The (true family, alpha, gamma, rhoY) of a study error entry."""
+    return tuple(map(entry.get, ("true_family", "alpha", "gamma", "rhoY")))
+
+
 def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     """Run the study cells the CSV at ``path`` lacks, in cell order.
 
@@ -507,9 +512,10 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     ``.errors.json`` sidecar. After each cell the sidecar, then the CSV
     with rows in cell order, is replaced whole, so an interrupted study
     keeps its finished cells and, resumed, reproduces the uninterrupted one
-    byte for byte. An unreadable row or sidecar, or a row that is not a
-    cell of ``config`` or repeats one, raises InputFileError naming the
-    file and line before any cell runs.
+    byte for byte. An unreadable row or sidecar, a row that is not a cell
+    of ``config`` or repeats one, or a sidecar entry whose cell or
+    replicate is not one of ``config``'s, raises InputFileError naming the
+    file and line or entry before any cell runs.
     """
     out = Path(path)
     sidecar = (out.with_suffix(".errors.json") if out.suffix != ".json"
@@ -524,16 +530,28 @@ def resume_study(config: StudyConfig, path: str | Path) -> StudyResume:
     errors = read_json(sidecar) if sidecar.exists() else []
     if not isinstance(errors, list):
         raise InputFileError(f"{sidecar}: expected a JSON list of errors")
+    cell_keys = {(fam.value, a, g, r) for _, fam, a, g, r, _ in cells}
     for num, e in enumerate(errors):
         if not (isinstance(e, dict) and all(
                 v is None or isinstance(v, (str, int, float))
                 for v in e.values())):
             raise InputFileError(f"{sidecar}: entry {num} is not a JSON "
                                  f"object of scalar values")
+        # an entry of another config would be kept and counted as this one's
+        if (cell := _error_cell(e)) not in cell_keys:
+            fam, a, g, r = cell
+            raise InputFileError(f"{sidecar}: entry {num} ({fam} alpha={a} "
+                                 f"gamma={g} rhoY={r}) is not a cell of this "
+                                 f"study's config")
+        rep = e.get("replicate")
+        if isinstance(rep, bool) or not isinstance(rep, int) or not (
+                0 <= rep < config.replicates):
+            raise InputFileError(f"{sidecar}: entry {num}: replicate must be "
+                                 f"an integer in [0, {config.replicates}) "
+                                 f"for this study's config, got {rep!r}")
     # rerun cells regenerate their errors; drop the stale copies
     rerun = {(fam.value, a, g, r) for _, fam, a, g, r, _ in todo}
-    errors = [e for e in errors if (e.get("true_family"), e.get("alpha"),
-                                    e.get("gamma"), e.get("rhoY")) not in rerun]
+    errors = [e for e in errors if _error_cell(e) not in rerun]
 
     def save() -> int:
         """Replace the sidecar, then the CSV; return the CSV's rows."""

@@ -22,6 +22,7 @@ from .core import (
     InsufficientPointsError,
     ParameterError,
     PointPattern,
+    check_count,
 )
 from .summaries import DEFAULT_GRID_SIZE, K_hat, _K_closed_form, default_grid
 
@@ -48,10 +49,8 @@ class ContrastOptions:
             raise ParameterError(f"q must be finite and > 0, got {self.q}")
         if not 1 <= self.p < math.inf:
             raise ParameterError(f"p must be finite and >= 1, got {self.p}")
-        if self.grid_size < 64:
-            raise ParameterError(f"grid_size must be >= 64, got {self.grid_size}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count("grid_size", self.grid_size, 64)
+        check_count("max_iter", self.max_iter)
 
     @classmethod
     def for_window(cls, w, **overrides) -> "ContrastOptions":
@@ -100,6 +99,8 @@ class FitResult:
             if not (key == "beta" and v is None) and (
                     isinstance(v, bool) or not isinstance(v, Real)):
                 raise ParameterError(f"{key} must be a number, got {v!r}")
+        if not isinstance(v := d["converged"], bool):
+            raise ParameterError(f"converged must be a boolean, got {v!r}")
         if not isinstance(opts := d["options"], dict):
             raise ParameterError(f"options must be an object, got {opts!r}")
         # fit files written while the search box was an option hold it as null
@@ -112,15 +113,6 @@ class FitResult:
                    beta=d["beta"], rho_Y=d["rhoY"], gamma=d["gamma"],
                    objective=d["objective"], converged=d["converged"],
                    options=ContrastOptions(**opts))
-
-
-def estimate_gamma(p: PointPattern, rho_Y: float) -> float:
-    """Offspring mean per cluster implied by the observed count."""
-    if p.n < 1:
-        raise InsufficientPointsError("gamma needs at least one point")
-    if not rho_Y > 0:
-        raise ParameterError(f"rho_Y must be > 0, got {rho_Y}")
-    return p.n / (p.window.area * rho_Y)
 
 
 def _contrast(emp_q: np.ndarray, theo: np.ndarray, opts: ContrastOptions,
@@ -196,5 +188,6 @@ def min_contrast_fit(p: PointPattern, family: Family | str,
     alpha, second = (float(v) for v in np.exp(best.x))
     beta, rho_Y, _ = params(second)
     return FitResult(family=family, alpha=alpha, beta=beta, rho_Y=rho_Y,
-                     gamma=estimate_gamma(p, rho_Y), objective=float(best.fun),
+                     gamma=p.n / (p.window.area * rho_Y),
+                     objective=float(best.fun),
                      converged=bool(best.success), options=opts)

@@ -548,6 +548,37 @@ def fit_json(pattern_csv, tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read {path}: "),
+    ("0.25,0.5\n0.75,0.125\n",
+     "{path}: line 1: expected a header line such as x,y"),
+    ("x,y\n0.5,0.5\n0.3,oops\n", "{path}: line 3: not a pair of numbers"),
+    ("x,y\n0.5,0.5\n0.5,0.5,0.5\n",
+     "{path}: line 3: expected two columns x,y, got 3"),
+    ("x,y\n0.5,0.5\n\nnan,0.5\n",
+     "{path}: line 4: point coordinates must be finite, got 'nan,0.5'"),
+    ("x,y\n0.5,0.5\n2.0,2.0\n", "{path}: 1 point lies outside the window; "
+     "first at line 3: '2.0,2.0'"),
+], ids=["missing", "numeric-header", "malformed-row", "three-columns",
+        "non-finite", "outside"])
+@pytest.mark.parametrize("command", ["fit", "envelope"])
+def test_pattern_file_fault_exits_2(command, text, message, fit_json,
+                                    tmp_path, capsys, no_draws):
+    # both commands read the pattern with PointPattern.from_csv, which names
+    # the file and, where it can, the line
+    path = tmp_path / "p.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out.csv"
+    argv = {"fit": ["fit", "--family", "thomas"],
+            "envelope": ["envelope", "--fit", fit_json, "--family", "thomas",
+                         "--n-sim", 99]}[command]
+    assert run_cli([*argv, "--data", path, "--window", "rect:0,1,0,1",
+                    "-o", out]) == 2
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEnvelope:
     def test_writes_csv_and_sidecar(self, pattern_csv, fit_json, tmp_path,
                                     capsys):
@@ -618,6 +649,7 @@ class TestEnvelope:
         ("alpha", "0.03", "alpha must be a number, got '0.03'"),
         ("gamma", None, "gamma must be a number, got None"),
         ("options", "x", "options must be an object, got 'x'"),
+        ("converged", "no", "converged must be a boolean, got 'no'"),
     ])
     def test_fit_with_a_wrongly_typed_field_exits_2(
             self, field, value, message, pattern_csv, fit_json, tmp_path,
@@ -649,6 +681,23 @@ class TestEnvelope:
         assert rc == 2
         assert (f"{bad}: not a fit result: options.{key} is no longer an "
                 f"option, got [0.01, 1.0]") in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("key,value,least", [
+        ("grid_size", 100.5, 64), ("max_iter", 600.5, 1)])
+    def test_fit_with_a_non_integer_count_exits_2(self, key, value, least,
+                                                  pattern_csv, fit_json,
+                                                  tmp_path, capsys, no_draws):
+        bad = tmp_path / "bad.json"
+        fit = json.loads(fit_json.read_text())["fits"]["thomas"]
+        bad.write_text(json.dumps(
+            {**fit, "options": {**fit["options"], key: value}}))
+        rc = run_cli(["envelope", "--data", pattern_csv,
+                      "--window", "rect:0,1,0,1", "--fit", bad,
+                      "--stat", "K", "--n-sim", 99, "-o", tmp_path / "e.csv"])
+        assert rc == 2
+        assert (f"{bad}: not a fit result: {key} must be an integer >= "
+                f"{least}, got {value}") in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
     def test_fit_with_null_search_box_runs_unchanged(self, pattern_csv,
@@ -844,6 +893,15 @@ class TestStudy:
         rc = run_cli(["study", "--config", cfg, "-o", out])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+        # a row of one of this config's cells whose values are not numbers
+        sidecar = tmp_path / "study.errors.json"
+        out.write_text(
+            f"{STUDY_CSV_HEADER}\nthomas,thomas,0.05,6,50,abc,def\n")
+        sidecar.write_text("[]\n")
+        before = out.read_bytes(), sidecar.read_bytes()
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        assert f"{out}: line 2: malformed study row" in capsys.readouterr().err
+        assert (out.read_bytes(), sidecar.read_bytes()) == before
 
     @pytest.mark.parametrize("sidecar", [
         {"true_family": "thomas"},
@@ -859,6 +917,39 @@ class TestStudy:
         assert rc == 2
         assert str(errors) in capsys.readouterr().err
         assert not out.exists()  # refused before any cell ran
+
+    @pytest.mark.parametrize("change,message", [
+        ({"alpha": 0.5}, "entry 0 (thomas alpha=0.5 gamma=6.0 rhoY=50.0) is "
+         "not a cell of this study's config"),
+        ({"true_family": "ginibre-dpp-thomas"},
+         "entry 0 (ginibre-dpp-thomas alpha=0.05 gamma=6.0 rhoY=50.0) is not "
+         "a cell of this study's config"),
+        ({"replicate": 2}, "entry 0: replicate must be an integer in [0, 2) "
+         "for this study's config, got 2"),
+        ({"replicate": "1"}, "entry 0: replicate must be an integer in [0, 2) "
+         "for this study's config, got '1'"),
+    ], ids=["other-alpha", "other-family", "replicate-too-large",
+            "replicate-str"])
+    def test_foreign_sidecar_entry_exits_2(self, change, message, tmp_path,
+                                           capsys, monkeypatch):
+        # an entry of another config would be kept and counted as this one's
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "study.csv"
+        sidecar = tmp_path / "study.errors.json"
+        out.write_text(f"{STUDY_CSV_HEADER}\nthomas,thomas,0.05,6,50,0,1.03\n")
+        sidecar.write_text(json.dumps([{
+            "true_family": "thomas", "fitted_family": "thomas", "alpha": 0.05,
+            "gamma": 6.0, "rhoY": 50.0, "replicate": 1, "stage": "fit/test",
+            "error": "no convergence", **change}]))
+        before = out.read_bytes(), sidecar.read_bytes()
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(dsncp.envelope, "_run_cell", no_cells)
+        assert run_cli(["study", "--config", cfg, "-o", out]) == 2
+        assert f"{sidecar}: {message}" in capsys.readouterr().err
+        assert (out.read_bytes(), sidecar.read_bytes()) == before
 
     @pytest.mark.parametrize("rows,message", [
         # a row of an alpha = 0.5 cell, resumed with a config whose only

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from dsncp.core import (
     Disc,
+    InputFileError,
     ParameterError,
     PointPattern,
     Rect,
     RngStream,
+    check_count,
 )
 
 
@@ -168,6 +171,34 @@ class TestPointPattern:
         path.write_text(f"{header}\n0.75,0.125\n")
         q = PointPattern.from_csv(path, Rect(0.0, 1.0, 0.0, 1.0))
         assert q.points.tolist() == [[0.75, 0.125]]
+
+    @pytest.mark.parametrize("text,message", [
+        (None, r"cannot read .*pts\.csv: "),
+        ("x,y\n0.5,0.5\ninf,0.5\n",
+         r"pts\.csv: line 3: point coordinates must be finite, got "
+         r"'inf,0\.5'"),
+        ("x,y\n0.5,1.5\n", r"pts\.csv: 1 point lies outside the window"),
+    ], ids=["missing", "non-finite", "outside"])
+    def test_file_faults_are_input_file_errors(self, tmp_path, text, message):
+        path = tmp_path / "pts.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputFileError, match=message):
+            PointPattern.from_csv(path, Rect(0.0, 1.0, 0.0, 1.0))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3)])
+    def test_integers_at_or_above_the_minimum_pass(self, value):
+        check_count("n", value)
+
+    @pytest.mark.parametrize("value,minimum", [
+        (0, 1), (63, 64), (2.0, 1), (100.5, 64), (True, 1), ("3", 1),
+        (None, 1)])
+    def test_anything_else_is_refused(self, value, minimum):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"n must be an integer >= {minimum}, got {value!r}")):
+            check_count("n", value, minimum)
 
 
 class TestRngStream:

@@ -296,10 +296,12 @@ class TestEnvelopeTest:
         with pytest.raises(ParameterError, match="level must be in"):
             envelope_test(p, m, statistic="J", n_sim=99, rng=RngStream(1),
                           level=1.5)
-        for jobs in (0, -4):
-            with pytest.raises(ParameterError, match="jobs must be >= 1"):
-                envelope_test(p, m, statistic="J", n_sim=99,
-                              rng=RngStream(1), jobs=jobs)
+        for name, value in (("jobs", 0), ("jobs", -4), ("jobs", 1.5),
+                            ("n_sim", 99.5), ("n_sim", True)):
+            with pytest.raises(ParameterError,
+                               match=f"{name} must be an integer >= 1"):
+                envelope_test(p, m, statistic="J", rng=RngStream(1),
+                              **{"n_sim": 99, name: value})
 
     def test_oversized_model_refused_before_any_curve(self, monkeypatch,
                                                       request):

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,6 @@ from dsncp.fit import (
     ContrastOptions,
     FitResult,
     _contrast,
-    estimate_gamma,
     min_contrast_fit,
 )
 from dsncp.summaries import K_hat, K_theoretical, SummaryCurve
@@ -79,8 +79,14 @@ class TestContrastOptions:
             ContrastOptions(r_min=0.0, r_max=1.0, q=0.0)
         with pytest.raises(ParameterError):
             ContrastOptions(r_min=0.0, r_max=1.0, p=0.5)
-        with pytest.raises(ParameterError):
-            ContrastOptions(r_min=0.0, r_max=1.0, grid_size=32)
+        for name, value, least in (("grid_size", 32, 64),
+                                   ("grid_size", 100.5, 64),
+                                   ("grid_size", True, 64),
+                                   ("max_iter", 0, 1),
+                                   ("max_iter", 600.5, 1)):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"{name} must be an integer >= {least}, got {value!r}")):
+                ContrastOptions(r_min=0.0, r_max=1.0, **{name: value})
 
     @pytest.mark.parametrize("field,value", [
         ("r_min", math.inf), ("r_max", math.inf), ("r_max", math.nan),
@@ -154,23 +160,35 @@ class TestSearchBox:
 
 
 class TestEstimateGamma:
-    def test_count_identity(self):
+    """The fit recovers gamma from the observed count: n / (|W| rho_Y)."""
+
+    def test_count_identity(self, monkeypatch):
         # 448 points on the unit square with rho_Y = 35.32 gives 12.68
-        p = dummy_pattern(n=448)
-        assert abs(estimate_gamma(p, 35.32) - 448 / 35.32) < 1e-12
-        assert abs(estimate_gamma(p, 35.32) - 12.68) < 5e-3
+        m = TestSyntheticRecovery.cases[2]
+        monkeypatch.setattr(dsncp.fit, "K_hat", exact_curve_of(m))
+        fit = min_contrast_fit(dummy_pattern(n=448), m.family)
+        assert fit.gamma == 448 / (1.0 * fit.rho_Y)
+        assert abs(fit.gamma - 12.68) < 0.02
 
     def test_window_area_enters(self):
         gen = RngStream(seed=4).generator
         w = Rect(0.0, 2.0, 0.0, 5.0)
         p = PointPattern(w.sample_uniform(100, gen), w)
-        assert abs(estimate_gamma(p, 2.0) - 100 / 20.0) < 1e-12
+        fit = min_contrast_fit(p, "thomas")
+        assert w.area == 10.0
+        assert fit.gamma == 100 / (10.0 * fit.rho_Y)
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
+        # no points: refused before any gamma is formed
         with pytest.raises(InsufficientPointsError):
-            estimate_gamma(PointPattern(np.zeros((0, 2)), UNIT), 1.0)
-        with pytest.raises(ParameterError):
-            estimate_gamma(dummy_pattern(), 0.0)
+            min_contrast_fit(PointPattern(np.zeros((0, 2)), UNIT), "thomas")
+        # a K far above any model in the box pushes rho_Y to its lower edge
+        # 1/|W|, never to 0
+        m = ModelParams(family="thomas", gamma=2.0, alpha=0.04, rho_Y=1e-6)
+        monkeypatch.setattr(dsncp.fit, "K_hat", exact_curve_of(m))
+        fit = min_contrast_fit(dummy_pattern(), "thomas")
+        assert 1.0 <= fit.rho_Y < 1.01
+        assert fit.gamma == 50 / fit.rho_Y
 
 
 class TestContrastObjective:
