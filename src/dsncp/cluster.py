@@ -179,15 +179,17 @@ def sample_centres(m: ModelParams, w_ext: Window,
 MAX_EXPECTED_CENTRES = 1e7
 MAX_EXPECTED_POINTS = 1e7
 # The largest expected rank E k = rho_Y |D| of a DPP centre draw, D its
-# domain (``_dpp_domain``). The sampler holds a k x k complex frame and a
-# pool of n = min(k, 4096) proposals, each with its row and coefficients:
-# 16 (k^2 + 2 n k) bytes. It deflates only when the pool runs out, so it
-# drops the rows and coefficients first, and a complete QR of the frame's
-# j rows then holds the frame, its k x k factor and numpy's two k x j
-# copies: 16 (2 k^2 + 2 k j) bytes, j about (1 - exp(-n/k)) k at the first
-# deflation; later spaces are smaller. The arrays peak at about 3.4 times
-# the frame up to k = 4096 and 2.8 GiB at this limit. A draw costs about
-# k^3 log k, or k^3 once it deflates; the tests draw k up to 600.
+# domain (``_dpp_domain``). The sampler holds a k x k frame and a pool of
+# n = min(k, 4096) proposals, each with its row and coefficients:
+# b (k^2 + 2 n k) bytes, with b = 8 for the Gaussian kernel's real rows and
+# b = 16 for Ginibre's complex ones. It deflates only when the pool runs
+# out, so it drops the rows and coefficients first, and a complete QR of
+# the frame's j rows then holds the frame, its k x k factor and numpy's two
+# k x j copies: b (2 k^2 + 2 k j) bytes, j about (1 - exp(-n/k)) k at the
+# first deflation; later spaces are smaller. The arrays peak at about 3.4
+# times the frame up to k = 4096, and at this limit at 2.8 GiB for Ginibre
+# and 1.4 GiB for the Gaussian kernel. A draw costs about k^3 log k, or k^3
+# once it deflates; the tests draw k up to 600.
 MAX_EXPECTED_RANK = 8192
 
 

@@ -9,9 +9,9 @@ intensity ``rho_Y`` and scale ``beta``:
 
 Either process exists iff beta <= 1/sqrt(pi * rho_Y); equality is the most
 repulsive case. Sampling goes through a spectral decomposition on a compact
-domain (Fourier basis on a rectangle for the Gaussian kernel, the explicit
-Laguerre-type basis on a disc for Ginibre) followed by the standard
-projection algorithm (Lavancier, Moller & Rubak 2015, Alg. 1):
+domain (a real trigonometric basis on a rectangle for the Gaussian kernel,
+the explicit Laguerre-type basis on a disc for Ginibre) followed by the
+standard projection algorithm (Lavancier, Moller & Rubak 2015, Alg. 1):
 Bernoulli-select k eigenfunctions, then draw the k points one by one, the
 j-th from the residual density ||v(x)||^2 - sum_{l<j} |<v(x), e_l>|^2
 (v the selected basis row, e_l the orthonormalised rows of the points
@@ -19,9 +19,12 @@ already drawn). Each step is an exact rejection sampler whose proposal is
 the kernel's own diagonal ||v(x)||^2 / k (the chain rule of Hough,
 Krishnapur, Peres & Virag 2006; Gautier, Bardenet & Valko 2019): a
 proposal x with uniform u is accepted when u ||v(x)||^2 is below its
-residual, which never exceeds ||v(x)||^2, so no bound is needed. The
-Fourier diagonal is the uniform law; the Ginibre one is a mixture of
-radial laws, one per selected eigenfunction. A step that tests more than
+residual, which never exceeds ||v(x)||^2, so no bound is needed. Either
+diagonal is the equal mixture of the selected |phi_i|^2: on the rectangle
+that is uniform for the constant and for a frequency pair whose cos and sin
+are both selected (cos^2 + sin^2 = 1), and a cos^2 or sin^2 law along the
+phase for a split pair, one member selected without the other; on the disc
+it is one radial law per selected eigenfunction. A step that tests more than
 64 + 60 k/(k - j) proposals, which a valid draw does with probability below
 e^-60, raises RuntimeError: only a basis whose rows are not orthonormal
 gets there, and it would otherwise propose forever.
@@ -50,7 +53,13 @@ frame @ v with no conjugate copy of the pool; moduli, and hence residuals,
 are unchanged. A step that accepts a point whose row is left with less
 than 1e-12 of its norm proposes again: a rounding artifact of probability
 about 0, judged relative to the proposal's own ||v||, so that a window of
-any size (where ||v||^2 = k/|D| for Fourier) draws alike.
+any size (where ||v||^2 is about k/|D|) draws alike.
+
+The sampler runs in the rows' arithmetic: real for the trigonometric basis,
+complex for Ginibre. The Gaussian kernel's eigenvalue at frequency f is
+that at -f, so the cos and sin of a pair span what exp(+-2 pi i f.t) do, and
+the truncated kernel is the same; real rows halve the frame's bytes and
+quarter a product's flops.
 
 Late steps test many proposals (about k/(k - j) per point), each projected
 on all j frame rows, so the frame deflates, only between batches: when a
@@ -70,17 +79,20 @@ shrinks the space by a fixed factor, and a draw costs O(k^3).
 A batch's rows v come from per-point tables of powers, with no
 transcendental function per entry: w^f = w^(f mod 16) w^(16 floor(f/16)),
 each factor gathered from a table formed by recurrence, so an entry costs
-two gathers and a product, and carries about 16 + f/16 roundings. Fourier
-takes w = exp(2 pi i t) on each axis, formed once per point from t and
-its angle in double-double; a negative frequency is the conjugate of its
-positive one. Ginibre takes w = z / 2^e, with the modulus carried in the
-tables and exp(log norm - coef |z|^2 / 2) split, per point and block of
-16, into a power of two and a factor near 1; its second table holds only
-the blocks the selection uses, each from its base-16 digits, so a sparse
-selection far into the spectrum costs what a dense one does (see
-``_GinibreBasis.rows``). On the tested spectra both stay within 3.1e-14
-relative of the formulas up to index 720. The rows fill one n x k block
-per draw, reused by every batch.
+two gathers and a product, and carries about 16 + f/16 roundings. The
+trigonometric basis takes w = exp(2 pi i t) on each axis, formed once per
+point from t and its angle in double-double (a negative frequency is the
+conjugate of its positive one); one complex product per selected pair
+gives its cos as the real part and its sin as the imaginary part. Ginibre
+takes w = z / 2^e, with the modulus carried in the tables and
+exp(log norm - coef |z|^2 / 2) split, per point and block of 16, into a
+power of two and a factor near 1; its second table holds only the blocks
+the selection uses, each from its base-16 digits, so a sparse selection far
+into the spectrum costs what a dense one does (see ``_GinibreBasis.rows``).
+On the tested spectra both stay within 3.1e-14 of the formulas up to index
+720, relative to the entry for Ginibre and to the pair's modulus
+sqrt(2/|D|) for a cos or sin. The rows fill one n x k block per draw,
+reused by every batch.
 """
 
 from __future__ import annotations
@@ -265,34 +277,63 @@ def _digit_powers(base: np.ndarray, ms: np.ndarray):
 
 def _gather_product(a: np.ndarray, ia: np.ndarray, b: np.ndarray,
                     ib: np.ndarray, out: np.ndarray | None = None,
-                    scale: np.ndarray | None = None) -> np.ndarray:
+                    scale: np.ndarray | None = None,
+                    part: np.ndarray | None = None) -> np.ndarray:
     """out[p, j] = a[p, ia[j]] * b[p, ib[j]] (* scale[j]), an (n, k) block,
-    filled in place when ``out`` is given. It goes in blocks of rows whose
-    scratch stays in cache, so no n x k temporary is made."""
+    filled in place when ``out`` is given. With ``part``, out is instead
+    the real block out[p, j] = R[p, part[j]], R the products' real and
+    imaginary parts side by side (column 2 q + 1 the imaginary part of
+    product q). It goes in blocks of rows whose scratch, 2^15 complex
+    entries in all, stays in cache, so no n x k temporary is made."""
     n, k = a.shape[0], ia.size
     if out is None:
-        out = np.empty((n, k), dtype=complex)
-    step = max(1, 2 ** 15 // k)
+        out = (np.empty((n, k), dtype=complex) if part is None
+               else np.empty((n, part.size)))
+    step = max(1, (2 ** 15 if part is None else 2 ** 14) // k)
     tmp = np.empty((min(step, n), k), dtype=complex)
+    prod = None if part is None else np.empty_like(tmp)
     for p in range(0, n, step):
-        blk, t = out[p:p + step], tmp[:min(step, n - p)]
+        t = tmp[:min(step, n - p)]
+        blk = out[p:p + step] if part is None else prod[:len(t)]
         np.take(a[p:p + step], ia, axis=1, out=blk, mode="clip")
         blk *= np.take(b[p:p + step], ib, axis=1, out=t, mode="clip")
         if scale is not None:
             blk *= scale
+        if part is not None:
+            np.take(blk.view(float), part, axis=1, out=out[p:p + step],
+                    mode="clip")
     return out
 
 
-class _FourierBasis:
-    """Orthonormal complex exponentials on a rectangle, indexed by integer
-    frequency pairs."""
+class _TrigBasis:
+    """Orthonormal real trigonometric functions on a rectangle.
 
-    def __init__(self, rect: Rect, freqs: np.ndarray):
+    Function i is sqrt(2/|D|) cos(2 pi f.t), or sqrt(2/|D|) sin(2 pi f.t)
+    where ``sine[i]``, for the integer frequency pair f = ``freqs[i]`` and
+    t = ((x - x0)/L1, (y - y0)/L2); the pair (0, 0) is the constant
+    1/sqrt(|D|). A pair and its negative give the same two functions up to
+    sign, so a basis holds at most one of them (the spectrum takes the half
+    plane f1 > 0 or f1 = 0 <= f2)."""
+
+    dtype = float
+
+    def __init__(self, rect: Rect, freqs: np.ndarray, sine: np.ndarray):
         self.rect = rect
         self.freqs = freqs  # (m, 2) integers
+        self.sine = sine  # (m,) booleans
         self._sides = np.array(rect.side_lengths)
         self._origin = np.array([rect.xmin, rect.ymin])
-        self._amp = 1.0 / math.sqrt(rect.area)
+        self._amp = math.sqrt(2.0 / rect.area)
+        self._const = 1.0 / math.sqrt(rect.area)
+
+    def _pairs(self, idx: np.ndarray):
+        """The selection's frequency pairs: each function's pair as an
+        integer key, 0 for the constant and shared by a cos and a sin of
+        one pair, and the unique keys' first positions, inverse and counts."""
+        f = self.freqs[idx]
+        key = f[:, 0] * (2 * np.abs(f[:, 1]).max(initial=0) + 1) + f[:, 1]
+        return (key,) + np.unique(key, return_index=True, return_inverse=True,
+                                  return_counts=True)[1:]
 
     def _phase_tables(self, pts: np.ndarray, tops) -> list[np.ndarray]:
         """For each axis, the (n, 2 top + 1) table whose column top + f
@@ -327,25 +368,64 @@ class _FourierBasis:
         return tables
 
     def rows(self, idx: np.ndarray):
-        """Points -> the (n, k) rows of the selection ``idx``: a table of
-        exp(2 pi i f x') over the selection's frequency range on each axis,
-        one gather from each and their product."""
-        f = self.freqs[idx]
+        """Points -> the real (n, k) rows of the selection ``idx``: for each
+        frequency pair it uses, sqrt(2/|D|) exp(2 pi i f.t), one gather from
+        a phase table on each axis and their product, whose real part is
+        the pair's cos and whose imaginary part is its sin."""
+        key, first, inv, _ = self._pairs(idx)
+        f = self.freqs[idx[first]]
         tops = np.abs(f).max(axis=0, initial=0)
         ix, iy = f[:, 0] + tops[0], f[:, 1] + tops[1]
+        part = 2 * inv + self.sine[idx]
+        const = np.flatnonzero(key == 0)
 
         def build(points: np.ndarray, out: np.ndarray | None = None):
             pts = np.asarray(points, dtype=float).reshape(-1, 2)
             tx, ty = self._phase_tables(pts, tops)
             tx *= self._amp
-            return _gather_product(tx, ix, ty, iy, out)
+            out = _gather_product(tx, ix, ty, iy, out, part=part)
+            out[:, const] = self._const
+            return out
         return build
 
     def propose(self, idx: np.ndarray, n: int,
                 gen: np.random.Generator) -> np.ndarray:
-        """n draws from sum_{i in idx} |phi_i|^2 / k: each |phi_i|^2 is
-        1/area, so the uniform law on the rectangle."""
-        return self.rect.sample_uniform(n, gen)
+        """n draws from sum_{i in idx} phi_i^2 / k: a function i uniform on
+        ``idx``, then a point from phi_i^2.
+
+        The constant, and a pair whose cos and sin are both in ``idx``
+        (cos^2 + sin^2 = 1), are uniform, so a uniform point serves them.
+        A split member, whose partner is not in ``idx``, has the law
+        (2/|D|) cos^2(2 pi s), s = f.t mod 1 its phase (for a sin, s less a
+        quarter turn): uniform on each level set of s, with s of density
+        2 cos^2(2 pi s). So its uniform point t is slid along an axis a with
+        f_a != 0 by ((s' - f.t) mod 1)/f_a, which moves the level set of s
+        onto that of s' as a translation, for s' drawn from that density:
+        the angle phi, seen from the origin, of a uniform point of the
+        disc of radius 1 about (1, 0) has density cos^2(phi) / (pi/2) on
+        (-pi/2, pi/2), and s' = phi/(2 pi), plus half a turn half of the
+        time. With no split member the proposals are the uniform points."""
+        pts = self.rect.sample_uniform(n, gen)
+        key, _, inv, count = self._pairs(idx)
+        split = (count[inv] == 1) & (key != 0)
+        if not split.any():
+            return pts
+        pick = gen.integers(idx.size, size=n)
+        j = np.flatnonzero(split[pick])
+        i = idx[pick[j]]
+        u = gen.random((3, j.size))
+        r, angle = np.sqrt(u[0]), (2.0 * math.pi) * u[1]
+        s = (np.arctan2(r * np.sin(angle), 1.0 + r * np.cos(angle))
+             / (2.0 * math.pi) + 0.5 * np.floor(2.0 * u[2])
+             + 0.25 * self.sine[i])
+        f = self.freqs[i]
+        t = (pts[j] - self._origin) / self._sides
+        a = (f[:, 0] == 0).astype(int)  # an axis where f is not 0
+        rows = np.arange(j.size)
+        slide = np.mod(s - (t * f).sum(axis=1), 1.0) / f[rows, a]
+        t[rows, a] = np.mod(t[rows, a] + slide, 1.0)
+        pts[j] = self._origin + self._sides * t
+        return pts
 
 
 class _GinibreBasis:
@@ -358,6 +438,8 @@ class _GinibreBasis:
     |u^{i-1} exp(-coef |u|^2 / 2)|^2's integral over the plane that falls
     in the disc.
     """
+
+    dtype = complex
 
     def __init__(self, disc: Disc, nu: float, lam: float, mass: np.ndarray):
         self.disc = disc
@@ -474,9 +556,10 @@ class DppSpectrum:
 
 
 # The most candidate eigenvalues a spectrum builder computes before it
-# truncates: the Gaussian frequency box (2 K1 + 1)(2 K2 + 1), filled before
-# it is masked (about 1.3 GB at the limit), and the Ginibre term count (the
-# tests and benchmark build at most 113 569 and 233 388). Fixed like
+# truncates: the Gaussian frequency box (2 K1 + 1)(2 K2 + 1), scanned a
+# block of rows at a time, of which about pi/4 is kept at about 44 bytes a
+# term (about 700 MB at the limit), and the Ginibre term count (the tests
+# and benchmark build at most 113 569 and 233 388). Fixed like
 # cluster.MAX_EXPECTED_CENTRES.
 MAX_SPECTRUM_TERMS = 2e7
 
@@ -527,14 +610,19 @@ def ginibre_spectrum(p: GinibreParams, r: float) -> DppSpectrum:
 
 
 def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
-    """Fourier-basis spectral approximation of the Gaussian kernel on a
-    rectangle.
+    """Trigonometric-basis spectral approximation of the Gaussian kernel on
+    a rectangle.
 
     Eigenvalue at integer frequency k: rho_Y*pi*beta^2 *
-    exp(-pi^2 beta^2 ||(k1/L1, k2/L2)||^2); eigenfunctions are the matching
-    complex exponentials. Frequencies with eigenvalue below 1e-12 of the
-    leading one are dropped and accounted for in ``truncation_error``. A
-    frequency box over ``MAX_SPECTRUM_TERMS`` is refused before it is filled.
+    exp(-pi^2 beta^2 ||(k1/L1, k2/L2)||^2), the same at k and -k. Its
+    eigenfunctions are the constant at k = 0 and, for each k of the half
+    plane k1 > 0 or k1 = 0 < k2, the cos and the sin of 2 pi k.t, in that
+    order (see ``_TrigBasis``): so the eigenvalues are those of the complex
+    exponentials at every k, as a multiset. Frequencies with eigenvalue
+    below 1e-12 of the leading one are dropped and accounted for in
+    ``truncation_error``. A frequency box over ``MAX_SPECTRUM_TERMS`` is
+    refused; below it, the box is scanned a block of k1 rows at a time, so
+    memory grows with the terms kept.
     """
     if not isinstance(rect, Rect):
         raise ParameterError("gaussian_dpp_spectrum needs a Rect domain")
@@ -550,7 +638,8 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
                 f"Gaussian spectrum at rho_Y {rho:.6g}, beta {beta:.6g} "
                 f"underflows, yet its expected count is {expected:.6g}")
         return DppSpectrum(rect, np.zeros(0),
-                           _FourierBasis(rect, np.zeros((0, 2), dtype=int)),
+                           _TrigBasis(rect, np.zeros((0, 2), dtype=int),
+                                      np.zeros(0, dtype=bool)),
                            truncation_error=expected)
     # xi >= tol  <=>  ||(k1/L1, k2/L2)|| <= sqrt(log(top/tol))/(pi beta)
     reach = math.sqrt(math.log(top / tol)) / (math.pi * beta)
@@ -560,18 +649,33 @@ def gaussian_dpp_spectrum(family: GaussianDpp, rect: Rect) -> DppSpectrum:
         raise ParameterError(
             f"Gaussian frequency box is {n1:.6g} x {n2:.6g} at beta "
             f"{beta:.6g}, above the limit {MAX_SPECTRUM_TERMS:.6g} frequencies")
-    k1, k2 = (np.arange(n, dtype=int) - n // 2 for n in (int(n1), int(n2)))
-    e1 = (math.pi * beta / l1) ** 2 * k1 ** 2
+    k2 = np.arange(int(n2), dtype=int) - int(n2) // 2
     e2 = (math.pi * beta / l2) ** 2 * k2 ** 2
-    xi = top * np.exp(-(e1[:, None] + e2[None, :]))
-    mask = xi >= tol
-    ii, jj = np.nonzero(mask)
-    freqs = np.column_stack((k1[ii], k2[jj])).astype(int)
-    vals = xi[mask]
-    # descending eigenvalue order, frequency pair as deterministic tie-break
-    order = np.lexsort((freqs[:, 1], freqs[:, 0], -vals))
-    freqs, vals = freqs[order], vals[order]
-    return DppSpectrum(rect, np.minimum(vals, 1.0), _FourierBasis(rect, freqs),
+    kept = []  # the half plane's terms, from blocks of about 2^16 entries
+    step = max(1, 2 ** 16 // k2.size)
+    for lo in range(0, int(n1) // 2 + 1, step):
+        k1 = np.arange(lo, min(lo + step, int(n1) // 2 + 1), dtype=int)
+        e1 = (math.pi * beta / l1) ** 2 * k1 ** 2
+        xi = top * np.exp(-(e1[:, None] + e2[None, :]))
+        mask = xi >= tol
+        if lo == 0:
+            mask[0, k2 < 0] = False  # the half plane
+        ii, jj = np.nonzero(mask)
+        kept.append((k1[ii], k2[jj], xi[mask]))
+    f1, f2, vals = (np.concatenate(c) for c in zip(*kept))
+    # descending eigenvalue order, frequency pair as deterministic
+    # tie-break: the constant, whose eigenvalue is the largest and whose
+    # pair (0, 0) the least, comes first
+    order = np.lexsort((f2, f1, -vals))
+    pairs, vals = np.column_stack((f1, f2))[order], vals[order]
+    del kept, f1, f2, order
+    # every pair twice, its cos and then its sin, but the constant once
+    freqs = np.repeat(pairs, 2, axis=0)[1:]
+    vals = np.repeat(vals, 2)[1:]
+    sine = np.zeros(vals.size, dtype=bool)
+    sine[2::2] = True
+    del pairs
+    return DppSpectrum(rect, np.minimum(vals, 1.0), _TrigBasis(rect, freqs, sine),
                        truncation_error=expected - float(vals.sum()))
 
 
@@ -579,10 +683,13 @@ def sample_dpp(spec: DppSpectrum, rng: RngStream) -> PointPattern:
     """Draw one realization of the DPP with the given spectrum.
 
     Eigen-indices are kept independently with probability xi_i, drawn
-    first from ``rng``; the kept projection kernel of rank k is then
-    sampled point by point by exact rejection against its own diagonal
-    ||v(x)||^2 / k, which dominates every step's residual density, so the
-    draw needs no bound and never restarts. Proposals come in batches of
+    first from ``rng``: one trial per eigenfunction, so the cos and the sin
+    of a frequency pair are kept or dropped apart. The kept projection
+    kernel of rank k is then sampled point by point by exact rejection
+    against its own diagonal ||v(x)||^2 / k, which dominates every step's
+    residual density, so the draw needs no bound and never restarts; it
+    runs in real arithmetic for the Gaussian kernel's trigonometric basis
+    and in complex arithmetic for Ginibre. Proposals come in batches of
     min(k, 4096) with their uniforms, their basis rows formed from tables
     of powers into one block reused by every batch, and untested ones stay
     pending across steps with the coefficients they gained. Between
@@ -609,10 +716,14 @@ _PROPOSAL_FLOOR = 64
 _PROPOSAL_FACTOR = 60
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of a complex block."""
-    return (np.einsum("ij,ij->i", a.real, a.real)
-            + np.einsum("ij,ij->i", a.imag, a.imag))
+def _sq_norms(a: np.ndarray, subscripts: str = "ij,ij->i") -> np.ndarray:
+    """Squared norms of the rows of a block, or with other subscripts of
+    its columns ("ij,ij->j") or entries ("i,i->i"); of a complex block, as
+    re^2 + im^2."""
+    if a.dtype != complex:
+        return np.einsum(subscripts, a, a)
+    return (np.einsum(subscripts, a.real, a.real)
+            + np.einsum(subscripts, a.imag, a.imag))
 
 
 def _sample_projection(basis, idx: np.ndarray,
@@ -620,11 +731,12 @@ def _sample_projection(basis, idx: np.ndarray,
     k = idx.size
     rows = basis.rows(idx)
     size = min(k, 4096)
+    dtype = basis.dtype  # of the rows, and so of every block below
     # conjugates of the orthonormal rows e_0, ..., e_{jj-1} of the frame in
     # the current space's coordinates, and each pending proposal's
     # coefficients <e_l, a> = (frame @ a)_l, l < jj
-    frame = np.empty((k, k), dtype=complex)
-    coef = np.empty((k, size), dtype=complex)
+    frame = np.empty((k, k), dtype=dtype)
+    coef = np.empty((k, size), dtype=dtype)
     batch = None  # every batch's rows, in turn, in one block
     pts = np.empty((k, 2))
     proj = None  # P, orthonormal rows spanning the current space; None is I
@@ -647,8 +759,8 @@ def _sample_projection(basis, idx: np.ndarray,
                         frame[:jj].T, mode="complete")[0][:, jj:].T)
                     proj = comp if proj is None else comp @ proj
                     r, jj = r - jj, 0
-                    frame = np.empty((r, r), dtype=complex)
-                    coef = np.empty((r, size), dtype=complex)
+                    frame = np.empty((r, r), dtype=dtype)
+                    coef = np.empty((r, size), dtype=dtype)
                 x = basis.propose(idx, size, gen)
                 a = batch = rows(x, batch)
                 sq = _sq_norms(a)
@@ -657,8 +769,7 @@ def _sample_projection(basis, idx: np.ndarray,
                     a = a @ proj.T
                 asq = sq if proj is None else _sq_norms(a)
                 c = np.matmul(frame[:jj], a.T, out=coef[:jj])
-                res = asq - (np.einsum("ij,ij->j", c.real, c.real)
-                             + np.einsum("ij,ij->j", c.imag, c.imag))
+                res = asq - _sq_norms(c, "ij,ij->j")
                 start = 0
             hit = test[start:] < res[start:]
             h = start + int(hit.argmax())
@@ -690,7 +801,7 @@ def _sample_projection(basis, idx: np.ndarray,
             np.divide(u, math.sqrt(usq), out=frame[jj])
             if start < len(test):
                 c = np.matmul(a[start:], frame[jj], out=coef[jj, start:len(test)])
-                res[start:] -= c.real * c.real + c.imag * c.imag
+                res[start:] -= _sq_norms(c, "i,i->i")
             jj += 1
             break
     return pts

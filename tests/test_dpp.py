@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
-from scipy.stats import chisquare, kstest
+from scipy.stats import chi2, chisquare, kstest
 
 from dsncp import dpp
 from dsncp.core import (
@@ -36,8 +36,8 @@ from dsncp.dpp import (
     most_repulsive_intensity,
     nth_order_intensity,
     sample_dpp,
-    _FourierBasis,
     _GinibreBasis,
+    _TrigBasis,
 )
 
 
@@ -265,6 +265,24 @@ class TestGaussianSpectrum:
         assert np.allclose(spec.eigenvalues, expect, rtol=1e-12)
         assert spec.eigenvalues[0] == pytest.approx(rho * math.pi * beta ** 2)
 
+    @pytest.mark.parametrize("rect", [Rect(0.0, 1.0, 0.0, 1.0),
+                                      Rect(0.0, 4.0, 0.0, 0.25)])
+    def test_memory_grows_with_the_terms_kept(self, rect):
+        # the frequency box is scanned a block of k1 rows at a time, so the
+        # peak is about the kept terms' own arrays (a 16-byte pair, an
+        # 8-byte eigenvalue twice, a 1-byte sine flag): 44 bytes a term. A
+        # builder that fills the whole (2 K1 + 1)(2 K2 + 1) box before its
+        # mask takes about 84 bytes a kept term on these two rectangles
+        tracemalloc.start()
+        try:
+            spec = gaussian_dpp_spectrum(GaussianDpp(100.0, 0.005), rect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = spec.eigenvalues.size
+        assert m > 3e5
+        assert peak <= 48 * m, peak / m
+
     def test_small_beta_spectrum_flattens(self):
         rect = Rect(0.0, 1.0, 0.0, 1.0)
         spec = gaussian_dpp_spectrum(GaussianDpp(10.0, 0.01), rect)
@@ -277,13 +295,19 @@ class TestGaussianSpectrum:
             gaussian_dpp_spectrum(GaussianDpp(1.0, 1.0), Rect(0, 1, 0, 1))
 
     def test_fourier_orthonormality(self):
+        # the N x N midpoint rule on the rectangle is exact for
+        # trigonometric polynomials of degree below N on each axis, so the
+        # rows at its nodes have Gram matrix |D| / N^2 V^T V = I
         rect = Rect(0.0, 2.0, 0.0, 3.0)
         spec = gaussian_dpp_spectrum(GaussianDpp(0.2, 0.8), rect)
-        # |phi_k|^2 == 1/area everywhere; cross products integrate to 0 by
-        # exactness of the trapezoid rule for complex exponentials
-        pts = rect.sample_uniform(64, RngStream(1, 0).generator)
-        mat = spec.basis.rows(np.arange(min(10, len(spec.eigenvalues))))(pts)
-        assert np.allclose(np.abs(mat) ** 2, 1.0 / rect.area, rtol=1e-12)
+        m = spec.eigenvalues.size
+        assert 2 * np.abs(spec.basis.freqs).max() < 64 and m == 85
+        axes = [lo + side * (np.arange(64) + 0.5) / 64 for lo, side in
+                zip((rect.xmin, rect.ymin), rect.side_lengths)]
+        pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes)])
+        mat = spec.basis.rows(np.arange(m))(pts)
+        gram = mat.T @ mat * (rect.area / len(pts))
+        assert np.abs(gram - np.eye(m)).max() <= 1e-12
 
 
 def _count_moments(spec: DppSpectrum, reps: int, seed: int):
@@ -368,21 +392,38 @@ def _selection(spec, rng):
     return np.flatnonzero(rng.generator.random(xi.size) < xi)
 
 
+def _half_plane(pairs):
+    """The frequency pairs f1 > 0 or f1 = 0 <= f2 among ``pairs``."""
+    return [(a, b) for a, b in pairs if a > 0 or (a == 0 and b >= 0)]
+
+
+def _trig_basis(rect, members):
+    """A ``_TrigBasis`` of (frequency pair, sine) members."""
+    return _TrigBasis(rect, np.array([f for f, _ in members]).reshape(-1, 2),
+                      np.array([s for _, s in members], dtype=bool))
+
+
 @st.composite
 def small_spectra(draw):
-    """A Fourier spectrum on a random rectangle or a Ginibre spectrum on a
-    random disc, with at most a few dozen eigenfunctions."""
+    """A trigonometric spectrum on a random rectangle, its pairs whole or
+    split (a cos without its sin, or a sin without its cos), or a Ginibre
+    spectrum on a random disc, with at most a few dozen eigenfunctions."""
     if draw(st.booleans()):
         x0 = draw(st.floats(-5.0, 5.0))
         y0 = draw(st.floats(-5.0, 5.0))
         rect = Rect(x0, x0 + draw(st.floats(0.2, 3.0)),
                     y0, y0 + draw(st.floats(0.2, 3.0)))
-        pairs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                              min_size=1, max_size=12, unique=True))
-        xi = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs),
-                           max_size=len(pairs)))
-        return DppSpectrum(rect, np.array(xi),
-                           _FourierBasis(rect, np.array(pairs)), 0.0)
+        pairs = draw(st.lists(st.sampled_from(_half_plane(
+            (a, b) for a in range(4) for b in range(-3, 4))),
+            min_size=1, max_size=12, unique=True))
+        members = []
+        for f in pairs:
+            kinds = ([False] if f == (0, 0) else
+                     draw(st.sampled_from([[False], [True], [False, True]])))
+            members += [(f, s) for s in kinds]
+        xi = draw(st.lists(st.floats(0.05, 1.0), min_size=len(members),
+                           max_size=len(members)))
+        return DppSpectrum(rect, np.array(xi), _trig_basis(rect, members), 0.0)
     nu = draw(st.floats(0.2, 1.0))
     lam = draw(st.floats(0.5, 20.0))
     r = draw(st.floats(0.2, 1.5))
@@ -398,12 +439,15 @@ def _forced_deflation():
 
 
 def _all_ones(k):
-    """A rank-k projection spectrum: the k Fourier frequencies nearest 0 on
-    the unit square, each with eigenvalue 1."""
+    """A rank-k projection spectrum: the first k trigonometric functions on
+    the unit square, the constant and then the cos and sin of each
+    half-plane frequency pair by |f|, each with eigenvalue 1."""
     rect = Rect(0.0, 1.0, 0.0, 1.0)
-    grid = np.array([(a, b) for a in range(-15, 16) for b in range(-15, 16)])
-    freqs = grid[np.argsort((grid ** 2).sum(axis=1), kind="stable")][:k]
-    return DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
+    pairs = sorted(_half_plane((a, b) for a in range(16) for b in range(-15, 16)),
+                   key=lambda f: f[0] ** 2 + f[1] ** 2)
+    members = [(f, s) for f in pairs for s in ([False] if f == (0, 0)
+                                                else [False, True])][:k]
+    return DppSpectrum(rect, np.ones(k), _trig_basis(rect, members), 0.0)
 
 
 def _deflation_count(spec, rng):
@@ -428,14 +472,16 @@ def _check_full_rank_k_point_set(spec, seed):
 
 
 def _check_fourier_projection_law(seed):
-    # all-ones spectrum on S = {s in Z^2 : |s|^2 < 10}: for q != 0,
+    # all-ones spectrum on S = {s in Z^2 : |s|^2 < 10}, whose 29 complex
+    # exponentials span what the constant and the cos and sin of its 14
+    # half-plane pairs do: for q != 0,
     # E[|sum_i exp(2 pi i q.x_i)|^2] - k = -#{(s, t) in S^2 : s - t = q}
-    rect = Rect(0.0, 1.0, 0.0, 1.0)
     freqs = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)
                       if a * a + b * b < 10])
     k = len(freqs)
     assert k == 29
-    spec = DppSpectrum(rect, np.ones(k), _FourierBasis(rect, freqs), 0.0)
+    spec = _all_ones(k)
+    assert np.all((spec.basis.freqs ** 2).sum(axis=1) < 10)
     qs = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (5, 2)])
     diffs = freqs[:, None, :] - freqs[None, :, :]
     n_q = np.array([np.all(diffs == q, axis=-1).sum() for q in qs])
@@ -456,6 +502,126 @@ def _check_fourier_projection_law(seed):
     mean = dev.mean(axis=0)
     t2 = reps * mean @ np.linalg.solve(np.cov(dev, rowvar=False), mean)
     assert t2 <= 27.86, (t2, z)
+
+
+def _quadrature(window, n=48):
+    """Nodes and weights on a rectangle (tensor Gauss-Legendre, n a side)
+    or a disc (Gauss-Legendre in the radius times n uniform angles)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    if isinstance(window, Rect):
+        lx, ly = window.side_lengths
+        gx, gy = np.meshgrid(window.xmin + lx * (x + 1) / 2,
+                             window.ymin + ly * (x + 1) / 2)
+        return (np.column_stack((gx.ravel(), gy.ravel())),
+                np.outer(w, w).ravel() * (window.area / 4))
+    r = window.radius * (x + 1) / 2
+    gr, gt = np.meshgrid(r, 2 * math.pi * np.arange(n) / n)
+    pts = np.column_stack((window.cx + (gr * np.cos(gt)).ravel(),
+                           window.cy + (gr * np.sin(gt)).ravel()))
+    return pts, np.tile(w * r * (math.pi * window.radius / n), n)
+
+
+def _test_functions(pts, window):
+    """Four functions of the points, in the coordinates (u, v) that map the
+    window's bounding box onto [-1, 1]^2: u, v, u^2 + v^2, and
+    cos(2 pi u) + cos(2 pi v), which a cos^2 or sin^2 law along an axis
+    moves by a whole half."""
+    box = window if isinstance(window, Rect) else window.bounding_rect
+    lx, ly = box.side_lengths
+    u = (2 * pts[:, 0] - box.xmin - box.xmax) / lx
+    v = (2 * pts[:, 1] - box.ymin - box.ymax) / ly
+    return np.array([u, v, u * u + v * v,
+                     np.cos(2 * math.pi * u) + np.cos(2 * math.pi * v)])
+
+
+def _law_statistics(spec, window, reps, seed):
+    """T1 and T2 of the sums S_f = sum_{x in X, x in window} f(x) of the
+    four test functions over ``reps`` draws of ``sample_dpp(spec)``.
+
+    Their exact moments come from the basis rows V at quadrature nodes of
+    the window, scaled by sqrt(xi): with B_f = V* diag(w f) V, E S_f =
+    tr B_f and Cov(S_f, S_g) = tr B_fg - tr(B_f B_g). T1 is the means'
+    chi^2 against that covariance (4 degrees of freedom). T2 is Hotelling's
+    T^2 of the centred products (S_f - E S_f)(S_g - E S_g), f <= g, against
+    their means Cov(S_f, S_g) (10 degrees of freedom); it sees a wrong
+    covariance that leaves the means right."""
+    nodes, w = _quadrature(window)
+    xi = spec.eigenvalues
+    v = spec.basis.rows(np.arange(xi.size))(nodes) * np.sqrt(xi)
+    if window == spec.domain and np.all(xi == 1):
+        # the nodes resolve the basis: its Gram matrix is the identity
+        gram = v.conj().T @ (w[:, None] * v)
+        assert np.abs(gram - np.eye(xi.size)).max() <= 1e-12
+    f = _test_functions(nodes, window)
+    diag = w * (np.abs(v) ** 2).sum(axis=1)
+    b = [v.conj().T @ ((w * g)[:, None] * v) for g in f]
+    mean = f @ diag
+    cov = (f * diag) @ f.T - np.array([[np.sum(bf * bg.T).real for bg in b]
+                                        for bf in b])
+    root = RngStream(seed, 0)
+    dev = np.empty((reps, len(f)))
+    for i in range(reps):
+        x = sample_dpp(spec, root.substream(i)).points
+        dev[i] = _test_functions(x[window.contains(x)], window).sum(axis=1)
+    dev -= mean
+    t1 = reps * dev.mean(axis=0) @ np.linalg.solve(cov, dev.mean(axis=0))
+    a, c = np.triu_indices(len(f))
+    z = dev[:, a] * dev[:, c] - cov[a, c]
+    t2 = reps * z.mean(axis=0) @ np.linalg.solve(np.cov(z, rowvar=False),
+                                                 z.mean(axis=0))
+    return t1, t2
+
+
+def _check_law(spec, window, reps=2000, seed=5):
+    """Both statistics below their 1e-4 upper chi^2 quantiles."""
+    t1, t2 = _law_statistics(spec, window, reps, seed)
+    assert t1 <= chi2.isf(1e-4, 4) and t2 <= chi2.isf(1e-4, 10), (t1, t2)
+
+
+def _split_projection():
+    """A rank-14 trigonometric projection on 1.5 x 1 whose pairs are split
+    more often than whole: of (1, 1), (2, 0) and (1, 2) both members, of
+    (1, 0), (0, 1), (2, 1) and (3, 0) the cos, of (1, -1), (0, 2) and
+    (2, -1) the sin, and the constant."""
+    rect = Rect(0.0, 1.5, 0.0, 1.0)
+    members = ([((0, 0), False)]
+               + [(f, s) for f in ((1, 1), (2, 0), (1, 2)) for s in (False, True)]
+               + [(f, False) for f in ((1, 0), (0, 1), (2, 1), (3, 0))]
+               + [(f, True) for f in ((1, -1), (0, 2), (2, -1))])
+    return DppSpectrum(rect, np.ones(14), _trig_basis(rect, members), 0.0)
+
+
+@pytest.mark.slow
+class TestLawGate:
+    """The law of the points, on any basis: the sums of a few test
+    functions over draws against their exact moments (``_law_statistics``).
+    A projection is drawn with its selection fixed (every eigenvalue 1); a
+    full draw, selection included, is restricted to an off-centre window."""
+
+    def test_trig_projection_with_split_pairs(self):
+        spec = _split_projection()
+        _check_law(spec, spec.domain)
+
+    def test_deflating_trig_projection_with_split_pairs(self):
+        spec = _split_projection()
+        with _forced_deflation():
+            _check_law(spec, spec.domain)
+
+    def test_ginibre_projection(self):
+        # the first 14 eigenfunctions on the disc of radius 3
+        spec = ginibre_spectrum(GinibreParams(1.0, 1 / math.pi), r=3.0)
+        _check_law(DppSpectrum(spec.domain, np.ones(14), spec.basis, 0.0),
+                   spec.domain)
+
+    def test_restricted_gaussian_draw(self):
+        spec = gaussian_dpp_spectrum(
+            GaussianDpp(15.0, 0.9 * max_admissible_beta(15.0)),
+            Rect(0.0, 1.5, 0.0, 1.0))
+        _check_law(spec, Rect(0.2, 1.1, 0.1, 0.8))
+
+    def test_restricted_ginibre_draw(self):
+        spec = ginibre_spectrum(GinibreParams(0.8, 1.0), r=2.0)
+        _check_law(spec, Rect(0.2, 1.6, -0.9, 0.7))
 
 
 def _child_env() -> dict:
@@ -552,14 +718,17 @@ class TestProjectionSampler:
     @pytest.mark.parametrize("family", ["fourier", "ginibre"])
     def test_memory_peak_at_k_600(self, family):
         # the most memory one draw's arrays hold at once, in frames of
-        # 16 k^2 bytes (the k x k complex frame): the pool's rows and
-        # coefficients beside the frame, or at the first deflation the frame
-        # with its QR factors, about 3.4 (see cluster.MAX_EXPECTED_RANK)
+        # b k^2 bytes (the k x k frame, b = 8 for real trigonometric rows
+        # and 16 for complex Ginibre ones): the pool's rows and coefficients
+        # beside the frame, or at the first deflation the frame with its QR
+        # factors, about 3.4 (see cluster.MAX_EXPECTED_RANK)
         k = 600
         if family == "fourier":
             basis = _all_ones(k).basis
         else:
             basis = ginibre_spectrum(GinibreParams(1.0, 35.32), r=2.5).basis
+        frame = np.dtype(basis.dtype).itemsize * k * k
+        assert frame == {"fourier": 8, "ginibre": 16}[family] * k * k
         for seed in range(3):
             tracemalloc.start()
             try:
@@ -568,7 +737,7 @@ class TestProjectionSampler:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3.5 * 16 * k * k, peak / (16 * k * k)
+            assert peak <= 3.5 * frame, peak / frame
 
     def test_large_window_draw_scales_exactly(self):
         # the unit square and the square scaled by 2^44, with rho_Y 2^-88
@@ -594,18 +763,21 @@ class TestProjectionSampler:
         assert proc.returncode == 0, proc.stderr
 
     def test_rank_deficient_basis_raises(self):
-        # a Fourier basis of k = 20 whose second column copies its first
-        # spans 19 dimensions, so the last step can never accept; the draw
-        # runs in a child whose timeout catches a sampler that hangs
+        # a trigonometric basis of k = 20 (the cos and sin of ten pairs)
+        # whose second column copies its first spans 19 dimensions, so the
+        # last step can never accept; the draw runs in a child whose
+        # timeout catches a sampler that hangs
         script = (
             "import numpy as np\n"
             "from dsncp.core import Rect, RngStream\n"
-            "from dsncp.dpp import DppSpectrum, _FourierBasis, sample_dpp\n"
+            "from dsncp.dpp import DppSpectrum, _TrigBasis, sample_dpp\n"
             "rect = Rect(0.0, 1.0, 0.0, 1.0)\n"
-            "freqs = [(a, b) for a in range(-2, 3) for b in range(-2, 2)]\n"
-            "freqs[1] = freqs[0]\n"
-            "spec = DppSpectrum(rect, np.ones(20),\n"
-            "                   _FourierBasis(rect, np.array(freqs)), 0.0)\n"
+            "freqs = np.repeat([(a, b) for a in (1, 2) for b in range(-2, 3)],\n"
+            "                  2, axis=0)\n"
+            "sine = np.tile([False, True], 10)\n"
+            "sine[1] = sine[0]\n"
+            "spec = DppSpectrum(rect, np.ones(20), _TrigBasis(rect, freqs, sine),\n"
+            "                   0.0)\n"
             "sample_dpp(spec, RngStream(3, 0))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=_child_env(), capture_output=True,
@@ -616,8 +788,9 @@ class TestProjectionSampler:
             proc.stderr
 
 
-def _fourier_direct(basis, pts, idx):
-    """exp(2 pi i (k1 (x - x0) / L1 + k2 (y - y0) / L2)) / sqrt(|D|).
+def _trig_direct(basis, pts, idx):
+    """sqrt(2/|D|) cos or sin of 2 pi (k1 (x - x0) / L1 + k2 (y - y0) / L2),
+    and 1/sqrt(|D|) for the constant.
 
     Each axis's phase k (x - x0) / L is reduced mod 1 in exact rational
     arithmetic and only then rounded, so an entry is within about 1e-15 of
@@ -638,7 +811,10 @@ def _fourier_direct(basis, pts, idx):
         turns.append(table[:, inv])
     phase = turns[0] + turns[1]
     phase -= np.rint(phase)
-    return np.exp(2j * math.pi * phase) / math.sqrt(rect.area)
+    out = np.where(basis.sine[idx], np.sin(2 * math.pi * phase),
+                   np.cos(2 * math.pi * phase)) * math.sqrt(2.0 / rect.area)
+    out[:, np.all(freqs == 0, axis=1)] = 1.0 / math.sqrt(rect.area)
+    return out
 
 
 def _ginibre_direct(basis, pts, idx):
@@ -713,13 +889,21 @@ class TestBasisRows:
     ])
     def test_fourier_rows(self, rect, rho, beta):
         # the builder's exp(2 pi i t) is within about an ulp, and a power f
-        # adds about 16 + f/16 roundings; the spectra reach f = 70
+        # adds about 16 + f/16 roundings; the spectra reach f = 70. A cos
+        # or sin is the real or imaginary part of sqrt(2/|D|) exp(2 pi i
+        # f.t), so its error is judged against that modulus (near a zero of
+        # the cos no entry keeps relative digits), and the constant exactly
         spec = gaussian_dpp_spectrum(GaussianDpp(rho, beta), rect)
         pts = rect.sample_uniform(60, np.random.default_rng(1))
         pts = np.vstack((pts, [[rect.xmin, rect.ymin], [rect.xmax, rect.ymax]]))
+        amp = math.sqrt(2.0 / rect.area)
         for idx in self._selections(spec.eigenvalues.size, 2):
             got = spec.basis.rows(idx)(pts)
-            assert _rel_err(got, _fourier_direct(spec.basis, pts, idx)) <= 1e-13
+            assert got.dtype == float and got.shape == (len(pts), idx.size)
+            want = _trig_direct(spec.basis, pts, idx)
+            assert np.max(np.abs(got - want)) <= 1e-13 * amp
+            const = np.all(spec.basis.freqs[idx] == 0, axis=1)
+            assert np.all(got[:, const] == 1.0 / math.sqrt(rect.area))
 
     @pytest.mark.parametrize("nu,lam,r", [(0.7, 0.9, 1.4), (1.0, 35.32, 0.8),
                                           (0.6, 20.0, 1.0)])
@@ -841,26 +1025,42 @@ class TestBasisRows:
 
 
 class TestProposal:
-    @pytest.mark.parametrize("basis", [_FourierBasis, _GinibreBasis])
+    @pytest.mark.parametrize("basis", [_TrigBasis, _GinibreBasis])
     def test_sample_dpp_proposes_from_the_diagonal(self, basis):
         # the share of proposals in each cell against the integral of
-        # ||v(x)||^2 / k over it: a quarter of the rectangle each, where
-        # ||v||^2 = k/|D|; on 8 annuli x 4 sectors of the disc, from the
-        # rows the sampler tests, by Gauss-Legendre in the radius (||v||^2
-        # is radial, so the angle integrates exactly)
-        if basis is _FourierBasis:
+        # ||v(x)||^2 / k over it, from the rows the sampler tests: on 5 x 5
+        # cells of the rectangle by tensor Gauss-Legendre, since a split
+        # pair makes ||v||^2 vary there; on 8 annuli x 4 sectors of the
+        # disc, by Gauss-Legendre in the radius (||v||^2 is radial, so the
+        # angle integrates exactly)
+        if basis is _TrigBasis:
             spec = gaussian_dpp_spectrum(GaussianDpp(20.0, 0.1),
                                          Rect(0.0, 2.0, 0.0, 1.0))
         else:
             spec = ginibre_spectrum(GinibreParams(1.0, 20.0), r=1.0)
         idx = _selection(spec, RngStream(3, 0))
         k, rows = idx.size, spec.basis.rows(idx)
-        pts = spec.basis.propose(idx, 40000, np.random.default_rng(9))
-        if basis is _FourierBasis:
-            rect = spec.domain
-            cx, cy = (rect.xmin + rect.xmax) / 2, (rect.ymin + rect.ymax) / 2
-            cell = 2 * (pts[:, 0] > cx) + (pts[:, 1] > cy)
-            expect = np.full(4, 0.25)
+        pts = spec.basis.propose(idx, 400000, np.random.default_rng(9))
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        if basis is _TrigBasis:
+            rect, c = spec.domain, 5
+            lx, ly = rect.side_lengths
+            t = (pts - [rect.xmin, rect.ymin]) / [lx, ly]
+            cell = (c * np.minimum((c * t[:, 0]).astype(int), c - 1)
+                    + np.minimum((c * t[:, 1]).astype(int), c - 1))
+            g = (nodes + 1) / (2 * c)  # the nodes on [0, 1/c]
+            w = np.outer(weights, weights).ravel() * (rect.area / (4 * c * c))
+            expect = np.empty(c * c)
+            for a in range(c):
+                for b in range(c):
+                    x, y = np.meshgrid(rect.xmin + lx * (a / c + g),
+                                       rect.ymin + ly * (b / c + g))
+                    v = rows(np.column_stack((x.ravel(), y.ravel())))
+                    expect[c * a + b] = np.sum(w * (v * v).sum(axis=1)) / k
+            # the selection splits pairs, so the law is not uniform
+            key = [tuple(f) for f in spec.basis.freqs[idx]]
+            assert sum(key.count(f) == 1 for f in key if f != (0, 0)) >= 5
+            assert np.ptp(expect) > 0.05 / (c * c)
         else:
             r = spec.domain.radius
             edges = np.linspace(0.0, r, 9)
@@ -868,7 +1068,6 @@ class TestProposal:
             theta = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
             cell = (4 * np.minimum(np.searchsorted(edges, s) - 1, 7)
                     + np.minimum((theta // (math.pi / 2)).astype(int), 3))
-            nodes, weights = np.polynomial.legendre.leggauss(40)
             ring = np.empty(8)
             for a in range(8):
                 lo, hi = edges[a], edges[a + 1]
