@@ -183,12 +183,14 @@ MAX_EXPECTED_POINTS = 1e7
 # n = min(k, 4096) proposals, each with its row and coefficients:
 # b (k^2 + 2 n k) bytes, with b = 8 for the Gaussian kernel's real rows and
 # b = 16 for Ginibre's complex ones. It deflates only when the pool runs
-# out, so it drops the rows and coefficients first, and a complete QR of
-# the frame's j rows then holds the frame, its k x k factor and numpy's two
-# k x j copies: b (2 k^2 + 2 k j) bytes, j about (1 - exp(-n/k)) k at the
-# first deflation; later spaces are smaller. The arrays peak at about 3.4
-# times the frame up to k = 4096, and at this limit at 2.8 GiB for Ginibre
-# and 1.4 GiB for the Gaussian kernel. A draw costs about k^3 log k, or k^3
+# out, so it drops the rows and coefficients first, and the complement of
+# the frame's j rows (``dpp._complement``) then holds the frame, a k x j
+# copy of those rows as Householder reflectors, and the k - j complement
+# rows with one product or copy of them: b (k^2 + k j + 2 k (k - j)) bytes,
+# j about (1 - exp(-n/k)) k at the first deflation; later spaces are
+# smaller. The arrays peak at about 3.4 times the frame up to k = 4096 (the
+# pool), and at this limit at about 2.6 GiB for Ginibre and 1.3 GiB for the
+# Gaussian kernel (the deflation). A draw costs about k^3 log k, or k^3
 # once it deflates; the tests draw k up to 600.
 MAX_EXPECTED_RANK = 8192
 

@@ -64,8 +64,9 @@ quarter a product's flops.
 Late steps test many proposals (about k/(k - j) per point), each projected
 on all j frame rows, so the frame deflates, only between batches: when a
 batch runs out and the frame is not empty, in a space of ``_DEFLATE_RANK``
-(192) or more dimensions, one complete QR of the frame's rows gives C,
-orthonormal rows spanning their complement. The sampler then works in C's
+(192) or more dimensions, one Householder QR of the frame's rows gives C,
+orthonormal rows spanning their complement: the last columns of its Q,
+formed without Q (``_complement``). The sampler then works in C's
 coordinates: P <- C P (P is not formed before the first deflation), the
 frame and the kept coefficients restart empty, and the next batch enters
 as a = P v, so ||a||^2 is v's residual against every row drawn so far; the
@@ -726,6 +727,33 @@ def _sq_norms(a: np.ndarray, subscripts: str = "ij,ij->i") -> np.ndarray:
             + np.einsum(subscripts, a.imag, a.imag))
 
 
+# Householder reflectors applied at once by ``_complement``, a block at a
+# time, as LAPACK's blocked routines do.
+_WY_BLOCK = 64
+
+
+def _complement(f: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the r x jj block ``f``'s
+    orthonormal columns (jj < r): the last r - jj columns of the complete Q
+    of its Householder QR, Q = H_1 ... H_jj with H_i = I - tau_i v_i v_i^*,
+    formed as Q [0; I] without Q. Each block of reflectors acts at once as
+    I - V T V^*, T^-1 = diag(1/tau) + the part of V^* V above its diagonal
+    (the compact WY form), so this is LAPACK's unmqr in numpy's own BLAS:
+    forming all r columns of Q, which numpy's complete QR does, takes about
+    twice the time."""
+    r, jj = f.shape
+    h, tau = np.linalg.qr(f, mode="raw")  # the reflectors below h.T's diagonal
+    x = np.eye(r, r - jj, -jj, dtype=f.dtype)
+    for lo in range((jj - 1) // _WY_BLOCK * _WY_BLOCK, -1, -_WY_BLOCK):
+        hi = min(lo + _WY_BLOCK, jj)
+        v = np.tril(h.T[lo:, lo:hi], -1)
+        np.fill_diagonal(v, 1.0)
+        t_inv = np.triu(v.conj().T @ v, 1)
+        np.fill_diagonal(t_inv, 1.0 / tau[lo:hi])
+        x[lo:] -= v @ np.linalg.solve(t_inv, v.conj().T @ x[lo:])
+    return np.ascontiguousarray(x.T)
+
+
 def _sample_projection(basis, idx: np.ndarray,
                        gen: np.random.Generator) -> np.ndarray:
     k = idx.size
@@ -755,8 +783,7 @@ def _sample_projection(basis, idx: np.ndarray,
                     # restarts. No rows or coefficients are held through
                     # the QR, nor the old frame (e views it) after it.
                     coef = batch = e = None
-                    comp = np.ascontiguousarray(np.linalg.qr(
-                        frame[:jj].T, mode="complete")[0][:, jj:].T)
+                    comp = _complement(frame[:jj].T)
                     proj = comp if proj is None else comp @ proj
                     r, jj = r - jj, 0
                     frame = np.empty((r, r), dtype=dtype)

@@ -720,8 +720,8 @@ class TestProjectionSampler:
         # the most memory one draw's arrays hold at once, in frames of
         # b k^2 bytes (the k x k frame, b = 8 for real trigonometric rows
         # and 16 for complex Ginibre ones): the pool's rows and coefficients
-        # beside the frame, or at the first deflation the frame with its QR
-        # factors, about 3.4 (see cluster.MAX_EXPECTED_RANK)
+        # beside the frame, or at the first deflation the frame with its
+        # reflectors and complement, about 3.4 (see cluster.MAX_EXPECTED_RANK)
         k = 600
         if family == "fourier":
             basis = _all_ones(k).basis
@@ -738,6 +738,24 @@ class TestProjectionSampler:
             finally:
                 tracemalloc.stop()
             assert peak <= 3.5 * frame, peak / frame
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("r,jj", [(7, 3), (300, 64), (530, 335)])
+    def test_complement_is_the_complete_qr_columns(self, dtype, r, jj):
+        # blocks of compact WY reflectors applied to [0; I] give the last
+        # r - jj columns of the complete Q of the same Householder QR, the
+        # reference, up to rounding: orthonormal, and orthogonal to f
+        rng = np.random.default_rng(r)
+        z = rng.standard_normal((r, jj))
+        if dtype is complex:
+            z = z + 1j * rng.standard_normal((r, jj))
+        f = np.linalg.qr(z)[0]
+        want = np.linalg.qr(f, mode="complete")[0][:, jj:].T
+        got = dpp._complement(f.copy())
+        assert got.dtype == dtype and got.shape == (r - jj, r)
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(got @ got.conj().T - np.eye(r - jj)).max() <= 1e-13
+        assert np.abs(got.conj() @ f).max() <= 1e-13
 
     def test_large_window_draw_scales_exactly(self):
         # the unit square and the square scaled by 2^44, with rho_Y 2^-88
