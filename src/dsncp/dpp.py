@@ -422,9 +422,9 @@ class _TrigBasis:
         f = self.freqs[i]
         t = (pts[j] - self._origin) / self._sides
         a = (f[:, 0] == 0).astype(int)  # an axis where f is not 0
-        rows = np.arange(j.size)
-        slide = np.mod(s - (t * f).sum(axis=1), 1.0) / f[rows, a]
-        t[rows, a] = np.mod(t[rows, a] + slide, 1.0)
+        at = np.arange(j.size), a
+        slide = np.mod(s - (t * f).sum(axis=1), 1.0) / f[at]
+        t[at] = np.mod(t[at] + slide, 1.0)
         pts[j] = self._origin + self._sides * t
         return pts
 
